@@ -1,15 +1,14 @@
-//! Artifact format benchmarks: parse-bounded (JSON) vs page-fault-bounded
-//! (v3 binary, heap and mmap) loading, and the v2-vs-v3 size ratio.
+//! Artifact load benchmarks: heap vs page-fault-bounded mmap loading of a
+//! weight-dominated artifact, plus the header-only read.
 //!
 //! ```bash
 //! cargo bench --bench artifact_load
 //! ```
 //!
-//! The interesting comparison is `v2_json_parse` against `v3_mmap`: the
-//! JSON path re-parses every weight float on each load, while the mmap
-//! path does a handful of header reads and borrows the weight sections —
-//! the kernel pages them in lazily on first prediction (measured separately
-//! by `v3_mmap_then_predict`).
+//! The heap path reads and copies every weight section on each load, while
+//! the mmap path does a handful of header reads and borrows the weight
+//! sections — the kernel pages them in lazily on first prediction
+//! (measured separately by `v3_mmap_then_predict`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -20,7 +19,7 @@ use hamlet_ml::ann::{AnnParams, Mlp};
 use hamlet_ml::dataset::{CatDataset, FeatureMeta, Provenance};
 use hamlet_ml::model::Classifier;
 use hamlet_relation::domain::CatDomain;
-use hamlet_serve::artifact::{Format, LoadMode, ModelArtifact, TrainingMetadata, FORMAT_VERSION};
+use hamlet_serve::artifact::{LoadMode, ModelArtifact, TrainingMetadata, FORMAT_VERSION};
 
 /// A paper-shaped ANN (256 + 64 hidden units) over a moderately wide
 /// one-hot space, so the artifact is genuinely weight-dominated (~1 MB of
@@ -80,21 +79,12 @@ fn artifact_load(c: &mut Criterion) {
     let artifact = ann_artifact();
     let dir = std::env::temp_dir().join(format!("hamlet-bench-v3-{}", std::process::id()));
     let v3_path = artifact.save(&dir).unwrap();
-    let v2_path = artifact.save_format(&dir, Format::V2).unwrap();
     let v3_bytes = std::fs::metadata(&v3_path).unwrap().len();
-    let v2_bytes = std::fs::metadata(&v2_path).unwrap().len();
-    eprintln!(
-        "artifact sizes: v2 json = {v2_bytes} B, v3 binary = {v3_bytes} B \
-         (ratio {:.2}x)",
-        v2_bytes as f64 / v3_bytes as f64
-    );
+    eprintln!("artifact size: {v3_bytes} B");
 
     let probe: Vec<u32> = vec![1; artifact.contract.width()];
     let mut group = c.benchmark_group("artifact_load");
     group.sample_size(20);
-    group.bench_function("v2_json_parse", |b| {
-        b.iter(|| black_box(ModelArtifact::load(&v2_path).unwrap()))
-    });
     group.bench_function("v3_heap", |b| {
         b.iter(|| black_box(ModelArtifact::load(&v3_path).unwrap()))
     });

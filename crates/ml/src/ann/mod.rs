@@ -22,7 +22,7 @@ use crate::model::Classifier;
 use adam::Adam;
 
 /// ANN hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnParams {
     /// First hidden layer width (paper: 256).
     pub hidden1: usize,
@@ -84,7 +84,7 @@ impl AnnParams {
 /// Weight arrays live behind [`PodVec`] so a format-v3 artifact loaded via
 /// mmap serves predictions straight out of the mapped file; training always
 /// produces (and mutates) owned storage.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     pub(crate) offsets: PodVec<u32>,
     pub(crate) d_in: usize,

@@ -1,11 +1,12 @@
-//! [`AnyClassifier`]: every trained model family behind one serializable,
+//! [`AnyClassifier`]: every trained model family behind one persistable,
 //! enum-dispatched type.
 //!
 //! Trained models historically left the model zoo as `Box<dyn Classifier>`,
 //! which cannot be persisted or named. `AnyClassifier` closes that gap for
-//! the serving path: it is `serde`-serializable (so artifacts can be saved
-//! and reloaded bit-exactly), `Clone`, and predicts through a plain `match`
-//! — no vtable indirection and no allocation on the base-model hot path.
+//! the serving path: it has a binary codec (`crate::binenc`, so artifacts
+//! can be saved and reloaded bit-exactly), is `Clone`, and predicts through
+//! a plain `match` — no vtable indirection and no allocation on the
+//! base-model hot path.
 
 use crate::ann::Mlp;
 use crate::cascade::CascadeModel;
@@ -27,7 +28,7 @@ pub const MIN_ROWS_PER_SHARD: usize = 256;
 
 /// A model wrapped with the feature subset it was trained on, so it can
 /// consume full-width rows (the NB-BFS path after backward selection).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubsetModel {
     /// Indices (into the full row) of the features the inner model sees.
     pub keep: Vec<usize>,
@@ -36,7 +37,7 @@ pub struct SubsetModel {
 }
 
 /// Every trained classifier in the repo, as one concrete type.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AnyClassifier {
     /// Constant majority-class baseline.
     Majority(MajorityClass),

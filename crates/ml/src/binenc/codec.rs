@@ -3,10 +3,8 @@
 //! Each family writes a one-byte variant tag followed by its payload:
 //! scalars inline, numeric arrays as aligned pod sections (zero-copy on the
 //! mmap read path). The tree payload lives next to its private node types
-//! in `crate::tree`; everything else is here. These codecs replace
-//! serde-JSON as the only model encoding — format-v3 artifacts embed this
-//! stream as their `MODL` section, while v1/v2 JSON artifacts keep using
-//! the serde path.
+//! in `crate::tree`; everything else is here. This is the only model
+//! encoding: artifacts embed the stream as their `MODL` section.
 
 use crate::ann::Mlp;
 use crate::any::{AnyClassifier, SubsetModel};

@@ -106,21 +106,6 @@ unsafe impl Pod for F16 {
     }
 }
 
-// JSON compatibility (v2 artifacts, quant sections in JSON form): an F16
-// serializes as its u16 bit pattern, not its numeric value, so the text
-// and binary encodings carry identical information.
-impl serde::Serialize for F16 {
-    fn serialize(&self) -> serde::Value {
-        serde::Serialize::serialize(&self.0)
-    }
-}
-
-impl serde::Deserialize for F16 {
-    fn deserialize(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        u16::deserialize(v).map(F16)
-    }
-}
-
 unsafe impl Pod for f32 {
     const WIDTH: usize = 4;
     const TAG: u8 = 4;
@@ -474,21 +459,6 @@ impl<T: Pod> fmt::Debug for PodVec<T> {
     }
 }
 
-// JSON (format v1/v2) compatibility: a PodVec serializes exactly like the
-// `Vec<T>` it replaced, so v2 artifacts written by this build are
-// byte-compatible with older readers and vice versa.
-impl<T: Pod + serde::Serialize> serde::Serialize for PodVec<T> {
-    fn serialize(&self) -> serde::Value {
-        serde::Serialize::serialize(self.as_slice())
-    }
-}
-
-impl<T: Pod + serde::Deserialize> serde::Deserialize for PodVec<T> {
-    fn deserialize(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Vec::<T>::deserialize(v).map(PodVec::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,15 +538,5 @@ mod tests {
         assert!(MmapFile::open(&empty).is_err());
         assert!(MmapFile::open(&dir.join("missing.bin")).is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn serde_matches_vec() {
-        use serde::{Deserialize, Serialize};
-        let v: PodVec<f64> = vec![0.5f64, -1.25].into();
-        let json = serde_json::to_string(&v).unwrap();
-        assert_eq!(json, serde_json::to_string(&vec![0.5f64, -1.25]).unwrap());
-        let back = PodVec::<f64>::deserialize(&v.serialize()).unwrap();
-        assert_eq!(back, v);
     }
 }

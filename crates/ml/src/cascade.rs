@@ -41,7 +41,7 @@ pub const MAX_TIERS: usize = 8;
 /// a smaller calibrated probability, so thresholding calibrated confidence
 /// is equivalent to thresholding the margin itself — calibration only makes
 /// the threshold *comparable across model families*.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Calibrator {
     /// Platt scaling: `p = sigmoid(a·s + b)` with `a ≥ 0`.
     Platt {
@@ -253,7 +253,7 @@ fn sigmoid(z: f64) -> f64 {
 
 /// One stage of a cascade: a model, its margin calibrator, and the
 /// confidence threshold at which it may answer a row itself.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CascadeTier {
     /// The tier's classifier (any family, including subset projections and
     /// quantized payloads).
@@ -269,7 +269,7 @@ pub struct CascadeTier {
 /// An ordered list of tiers sharing one feature contract. Rows enter at
 /// tier 0 and escalate while confidence stays below the tier threshold;
 /// the last tier always answers.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CascadeModel {
     /// Tiers, cheapest first. `1..=MAX_TIERS` entries.
     pub tiers: Vec<CascadeTier>,

@@ -52,7 +52,7 @@ impl fmt::Display for RowIssue {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchError {
     /// The contract carries no dictionary for `feature`, so raw labels
-    /// cannot be encoded at all (pre-contract / format-v1 artifacts).
+    /// cannot be encoded at all (models trained on dictionary-less data).
     MissingDomain {
         /// First feature lacking a dictionary.
         feature: String,
@@ -72,7 +72,7 @@ impl fmt::Display for BatchError {
             BatchError::MissingDomain { feature } => write!(
                 f,
                 "feature `{feature}` has no dictionary in this model's contract; \
-                 send pre-encoded `rows` or retrain to a format-v2 artifact"
+                 send pre-encoded `rows` instead"
             ),
             BatchError::Rows { issues, total } => {
                 let listed: Vec<String> = issues.iter().map(ToString::to_string).collect();
@@ -89,9 +89,8 @@ impl fmt::Display for BatchError {
 impl std::error::Error for BatchError {}
 
 /// A model's input contract: ordered per-feature metadata, optionally with
-/// full label↔code dictionaries. Serializes as a bare array of
-/// [`FeatureMeta`] so format-v1 artifact payloads (the same array, minus
-/// `domain` entries) deserialize through the identical path.
+/// full label↔code dictionaries. Persisted by reference
+/// ([`FeatureContract::serialize_by_ref`]) next to a [`DomainInterner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureContract {
     features: Vec<FeatureMeta>,
@@ -323,12 +322,11 @@ impl FeatureContract {
 /// Deduplicating pool of dictionaries for by-reference contract encoding.
 ///
 /// The star schema shares one `CatDomain` allocation between a fact table's
-/// FK column and the dimension's RID column, but v2 JSON artifacts inline
-/// the labels once per *feature* that references them. Format v3 restores
-/// the sharing on disk: every distinct domain is interned here exactly once
-/// (deduplicated first by allocation, then by content, so domains that were
-/// split by an earlier JSON load re-merge), features reference domains by
-/// index, and decoding rebuilds one shared `Arc` per distinct dictionary.
+/// FK column and the dimension's RID column, and the artifact format keeps
+/// that sharing on disk: every distinct domain is interned here exactly
+/// once (deduplicated first by allocation, then by content, so separately
+/// built but identical domains merge), features reference domains by index,
+/// and decoding rebuilds one shared `Arc` per distinct dictionary.
 #[derive(Debug, Default)]
 pub struct DomainInterner {
     domains: Vec<Arc<CatDomain>>,
@@ -440,8 +438,7 @@ impl FeatureContract {
 
     /// Inverse of [`FeatureContract::serialize_by_ref`], resolving
     /// `domain_ref` indices against a decoded dictionary pool. Referenced
-    /// domains are shared (`Arc`) between every feature that names them,
-    /// restoring the in-memory dedup that v2 JSON loads lose.
+    /// domains are shared (`Arc`) between every feature that names them.
     pub fn deserialize_by_ref(v: &serde::Value, pool: &[Arc<CatDomain>]) -> Result<Self> {
         let invalid = |what: String| MlError::Invalid(format!("corrupt contract: {what}"));
         let serde::Value::Arr(entries) = v else {
@@ -501,19 +498,6 @@ impl FeatureContract {
             });
         }
         FeatureContract::new(features)
-    }
-}
-
-impl serde::Serialize for FeatureContract {
-    fn serialize(&self) -> serde::Value {
-        serde::Serialize::serialize(&self.features)
-    }
-}
-
-impl serde::Deserialize for FeatureContract {
-    fn deserialize(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let features = Vec::<FeatureMeta>::deserialize(v)?;
-        FeatureContract::new(features).map_err(|e| serde::Error(e.to_string()))
     }
 }
 
@@ -649,17 +633,6 @@ mod tests {
         }
         assert!(c.decode_row(&[0]).is_err());
         assert!(c.decode_row(&[0, 9]).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrips_as_bare_feature_array() {
-        use serde::{Deserialize, Serialize};
-        let c = contract_open_closed();
-        let v = c.serialize();
-        assert!(matches!(v, serde::Value::Arr(_)), "serializes as array");
-        let back = FeatureContract::deserialize(&v).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.fingerprint(), c.fingerprint());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum Provenance {
 }
 
 /// Per-feature metadata.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureMeta {
     /// Feature name (from the source column).
     pub name: String,
@@ -45,8 +45,8 @@ pub struct FeatureMeta {
     pub provenance: Provenance,
     /// The label↔code bijection behind the codes, when known. Datasets built
     /// from relational tables carry the column's dictionary (a cheap `Arc`
-    /// clone); synthetic datasets and pre-contract (format-v1) artifacts
-    /// have `None` and can only consume pre-encoded codes.
+    /// clone); synthetic datasets have `None` and can only consume
+    /// pre-encoded codes.
     pub domain: Option<Arc<CatDomain>>,
 }
 

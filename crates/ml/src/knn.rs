@@ -17,7 +17,7 @@ use crate::svm::kernel::match_count;
 /// The memorised training matrix lives behind [`PodVec`] so a format-v3
 /// artifact loaded via mmap scans neighbours straight out of the mapped
 /// file.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OneNearestNeighbor {
     pub(crate) d: usize,
     pub(crate) rows: PodVec<u32>,

@@ -14,7 +14,7 @@ use crate::model::Classifier;
 /// Solver configuration (the paper sets `nlambda = 100`,
 /// `thresh = 0.001`, `maxit = 10000`; our defaults are a faster path with
 /// the same shape — pass the paper's values for full fidelity).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogRegParams {
     /// Number of lambda-path points.
     pub nlambda: usize,
@@ -55,7 +55,7 @@ impl LogRegParams {
 /// A fitted L1 logistic-regression model (weights live in one-hot space,
 /// behind [`PodVec`] so mmap-loaded format-v3 artifacts score rows straight
 /// out of the mapped file).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogRegL1 {
     pub(crate) offsets: PodVec<u32>,
     pub(crate) weights: PodVec<f64>,

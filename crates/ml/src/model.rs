@@ -28,7 +28,7 @@ impl<C: Classifier + ?Sized> Classifier for Box<C> {
 
 /// A trivial majority-class classifier; the baseline every model must beat
 /// and a convenient stub for tests.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MajorityClass {
     /// The constant prediction.
     pub positive: bool,

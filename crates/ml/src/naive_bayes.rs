@@ -14,7 +14,7 @@ use crate::model::Classifier;
 /// A fitted categorical Naive Bayes model (log-space). Probability tables
 /// live behind [`PodVec`] so mmap-loaded format-v3 artifacts score rows
 /// straight out of the mapped file.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NaiveBayes {
     /// Log prior for (negative, positive).
     pub(crate) log_prior: [f64; 2],

@@ -27,7 +27,7 @@ use crate::model::Classifier;
 use crate::svm::{match_count, KernelKind, SvmModel};
 
 /// Storage encoding for quantized weight tensors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantEncoding {
     /// Symmetric per-tensor i8 with an f32/f64 scale.
     I8,
@@ -55,7 +55,7 @@ impl QuantEncoding {
 }
 
 /// A quantized f32 tensor (MLP weights).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QTensor {
     /// Symmetric i8: `value ≈ data[i] as f32 * scale`.
     I8 {
@@ -125,7 +125,7 @@ impl QTensor {
 }
 
 /// A quantized f64 tensor (SVM dual coefficients, logreg weights).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QTensor64 {
     /// Symmetric i8: `value ≈ data[i] as f64 * scale`.
     I8 {
@@ -205,7 +205,7 @@ impl QTensor64 {
 
 /// Quantized MLP: same topology as [`Mlp`], weight tensors quantized,
 /// biases kept in full precision (they are O(width), not O(width²)).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantMlp {
     pub(crate) offsets: PodVec<u32>,
     pub(crate) d_in: usize,
@@ -221,7 +221,7 @@ pub struct QuantMlp {
 
 /// Quantized kernel SVM: support-vector rows stay u32 codes; only the dual
 /// coefficients are quantized.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantSvm {
     pub(crate) kernel: KernelKind,
     pub(crate) n_features: usize,
@@ -231,7 +231,7 @@ pub struct QuantSvm {
 }
 
 /// Quantized L1 logistic regression.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantLogReg {
     pub(crate) offsets: PodVec<u32>,
     pub(crate) weights: QTensor64,
@@ -239,7 +239,7 @@ pub struct QuantLogReg {
 }
 
 /// The quantized payload families.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuantPayload {
     /// Quantized multi-layer perceptron.
     Mlp(QuantMlp),
@@ -250,7 +250,7 @@ pub enum QuantPayload {
 }
 
 /// A quantized serving model: encoding tag + family payload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantModel {
     /// Storage encoding every tensor in the payload uses.
     pub encoding: QuantEncoding,

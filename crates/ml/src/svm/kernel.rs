@@ -16,7 +16,7 @@
 use crate::dataset::CatDataset;
 
 /// Kernel families used in the paper (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelKind {
     /// `k(x, z) = ⟨x, z⟩` — the linear SVM.
     Linear,

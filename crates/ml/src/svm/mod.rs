@@ -19,7 +19,7 @@ use crate::error::{MlError, Result};
 use crate::model::Classifier;
 
 /// SVM hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvmParams {
     /// Kernel family and bandwidth.
     pub kernel: KernelKind,
@@ -85,7 +85,7 @@ impl SvmParams {
 /// The support-vector matrix and coefficients live behind [`PodVec`] so a
 /// format-v3 artifact loaded via mmap evaluates kernels straight out of the
 /// mapped file.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvmModel {
     pub(crate) kernel: KernelKind,
     pub(crate) n_features: usize,

@@ -18,7 +18,7 @@ use split::{find_best_split, impurity, SplitScratch};
 pub use split::{CategoricalSplit, SplitCriterion};
 
 /// Hyper-parameters with `rpart` semantics.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
     /// Split criterion (paper: gini, information gain, gain ratio).
     pub criterion: SplitCriterion,
@@ -106,7 +106,7 @@ impl TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct NodeSplit {
     feature: u32,
     /// Observed codes routed left (sorted).
@@ -119,7 +119,7 @@ struct NodeSplit {
     majority_left: bool,
 }
 
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     prediction: bool,
     n: u32,
@@ -129,7 +129,7 @@ struct Node {
 }
 
 /// A fitted CART decision tree.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     params: TreeParams,
     nodes: Vec<Node>,

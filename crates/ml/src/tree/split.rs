@@ -12,7 +12,7 @@
 use crate::dataset::CatDataset;
 
 /// The three split criteria used in the paper's Tables 2/5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitCriterion {
     /// CART gini impurity (rpart's default).
     Gini,

@@ -113,30 +113,6 @@ impl CatDomain {
     }
 }
 
-// Domains serialize as `{name, labels}` only: the code index and the
-// `Others` slot are derived state, rebuilt by [`CatDomain::new`] on load so
-// a hand-edited artifact can never carry an inconsistent index.
-impl serde::Serialize for CatDomain {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("name".to_string(), serde::Serialize::serialize(&self.name)),
-            (
-                "labels".to_string(),
-                serde::Serialize::serialize(&self.labels),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for CatDomain {
-    fn deserialize(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let obj = v.as_obj_view("CatDomain")?;
-        let name = String::deserialize(obj.field("name")).map_err(|e| e.at("name"))?;
-        let labels = Vec::<String>::deserialize(obj.field("labels")).map_err(|e| e.at("labels"))?;
-        CatDomain::new(name, labels).map_err(|e| serde::Error(e.to_string()))
-    }
-}
-
 /// Two domains are join-compatible when they are the same allocation or have
 /// identical label sequences (so codes mean the same values).
 pub fn join_compatible(a: &Arc<CatDomain>, b: &Arc<CatDomain>) -> bool {
@@ -181,29 +157,6 @@ mod tests {
         let d = CatDomain::synthetic("g", 2);
         assert_eq!(d.others_code(), None);
         assert_eq!(d.encode("zzz"), None);
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_index_and_others() {
-        use serde::{Deserialize, Serialize};
-        let d = CatDomain::synthetic_with_others("employer", 3);
-        let back = CatDomain::deserialize(&d.serialize()).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(back.others_code(), d.others_code());
-        assert_eq!(back.code("v2"), Some(2));
-        assert_eq!(back.encode("unseen"), back.others_code());
-        // Duplicate labels in a (corrupted) payload are rejected on load.
-        let bad = CatDomain::deserialize(&serde::Value::Obj(vec![
-            ("name".into(), serde::Value::Str("d".into())),
-            (
-                "labels".into(),
-                serde::Value::Arr(vec![
-                    serde::Value::Str("a".into()),
-                    serde::Value::Str("a".into()),
-                ]),
-            ),
-        ]));
-        assert!(bad.is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct PredictRequest {
     /// Rows of raw label strings; the server encodes them against the
     /// model's domains, mapping labels unseen at training time to the
     /// `Others` slot on open domains and rejecting them (400) on closed
-    /// ones. Requires a format-v2 artifact (dictionaries embedded).
+    /// ones. Requires a contract with dictionaries.
     pub rows_raw: Option<Vec<Vec<String>>>,
 }
 

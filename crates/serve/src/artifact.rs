@@ -1,33 +1,26 @@
 //! Versioned, validated persistence of trained models.
 //!
 //! A [`ModelArtifact`] is everything needed to serve a classifier trained by
-//! `hamlet_core::experiment`: the model itself (as a serializable
-//! [`AnyClassifier`]), the [`FeatureConfig`] it was trained under, the full
-//! input [`FeatureContract`] (per feature: name, cardinality, provenance
-//! and the label↔code dictionary), a fingerprint of the source star schema,
-//! and training metadata (metrics, spec, wall-clock).
+//! `hamlet_core::experiment`: the model itself (an [`AnyClassifier`]), the
+//! [`FeatureConfig`] it was trained under, the full input
+//! [`FeatureContract`] (per feature: name, cardinality, provenance and the
+//! label↔code dictionary), a fingerprint of the source star schema, and
+//! training metadata (metrics, spec, wall-clock).
 //!
-//! ## Format history
+//! ## On-disk format
 //!
-//! - **v1** — JSON (`.model.json`); feature metadata under a `features`
-//!   key, no dictionaries. Still readable: loads upgrade v1 payloads in
-//!   memory (the contract simply has no domains, so such models only accept
-//!   pre-encoded code rows, never raw labels).
-//! - **v2** — JSON (`.model.json`); the contract (with embedded domains)
-//!   under a `contract` key. Still readable, and still writable via
-//!   [`ModelArtifact::save_format`] for interchange/debugging.
-//! - **v3** — the current default: a sectioned binary container
-//!   (`.model.bin`, see [`crate::container`]) with a small JSON `META`
-//!   section, a deduplicated dictionary string table (`DICT` — each
-//!   distinct `CatDomain` stored exactly once, features referencing it by
-//!   index), and an aligned raw little-endian model payload (`MODL`).
-//!   Dense f32/f64 weight arrays shrink several-fold versus their JSON
-//!   text, and the payload can be **mmap-loaded** ([`LoadMode::Mmap`]):
-//!   weight slices borrow the mapped file zero-copy, making warm-load
-//!   page-fault-bounded instead of parse-bounded.
+//! An artifact is a format-v3 sectioned binary container (`.model.bin`, see
+//! [`crate::container`]) with a small JSON `META` section, a deduplicated
+//! dictionary string table (`DICT` — each distinct `CatDomain` stored
+//! exactly once, features referencing it by index), and an aligned raw
+//! little-endian model payload (`MODL`). Dense f32/f64 weight arrays are
+//! stored raw, and the payload can be **mmap-loaded** ([`LoadMode::Mmap`]):
+//! weight slices borrow the mapped file zero-copy, making warm-load
+//! page-fault-bounded instead of parse-bounded.
 //!
-//! Format is auto-detected on load (magic bytes → v3, otherwise JSON with
-//! an explicit `format_version` gate), so a directory may mix all three.
+//! v3 is the only encoding this build reads or writes. The JSON artifacts
+//! of formats v1 and v2 (`.model.json`) are refused with an error that
+//! names them, and warm-load skips them with a warning.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -39,6 +32,7 @@ use hamlet_ml::any::AnyClassifier;
 use hamlet_ml::binenc::{BinWriter, BytesSource, MmapFile};
 use hamlet_ml::contract::{BatchError, DomainInterner, FeatureContract};
 use hamlet_ml::dataset::FeatureMeta;
+use serde::Deserialize;
 
 use crate::container::{self, SEC_CASC, SEC_DICT, SEC_META, SEC_MODL, SEC_QNTS};
 use crate::error::{Result, ServeError};
@@ -46,57 +40,8 @@ use crate::error::{Result, ServeError};
 /// Artifact layout version written by this build.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// Oldest artifact layout this build can still read (upgraded on load).
-pub const MIN_READ_FORMAT_VERSION: u32 = 1;
-
-/// Filename suffix of binary (format-v3) artifacts.
-pub const ARTIFACT_SUFFIX_BIN: &str = ".model.bin";
-
-/// Filename suffix of legacy JSON (format v1/v2) artifacts.
-pub const ARTIFACT_SUFFIX_JSON: &str = ".model.json";
-
-/// Every suffix the registry treats as an artifact, preferred first.
-pub const ARTIFACT_SUFFIXES: [&str; 2] = [ARTIFACT_SUFFIX_BIN, ARTIFACT_SUFFIX_JSON];
-
-/// On-disk artifact layouts this build understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// JSON, `features` key, no dictionaries (read-only compat).
-    V1,
-    /// JSON, `contract` key with inline dictionaries.
-    V2,
-    /// Sectioned binary container with deduplicated dictionaries.
-    V3,
-}
-
-impl Format {
-    /// Numeric format version.
-    pub fn version(self) -> u32 {
-        match self {
-            Format::V1 => 1,
-            Format::V2 => 2,
-            Format::V3 => 3,
-        }
-    }
-
-    /// Filename suffix this format is written under.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            Format::V1 | Format::V2 => ARTIFACT_SUFFIX_JSON,
-            Format::V3 => ARTIFACT_SUFFIX_BIN,
-        }
-    }
-}
-
-impl std::fmt::Display for Format {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Format::V1 => write!(f, "v1 (json)"),
-            Format::V2 => write!(f, "v2 (json)"),
-            Format::V3 => write!(f, "v3 (binary)"),
-        }
-    }
-}
+/// Filename suffix of artifacts.
+pub const ARTIFACT_SUFFIX: &str = ".model.bin";
 
 /// How to materialize an artifact's payload on load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,10 +49,9 @@ pub enum LoadMode {
     /// Read and parse the whole file into owned memory.
     #[default]
     Heap,
-    /// Map the file and borrow weight slices from it zero-copy (format-v3
-    /// files only; JSON artifacts silently fall back to [`LoadMode::Heap`]).
-    /// Pages are faulted in on first prediction, and artifacts of the same
-    /// file share physical memory with the page cache.
+    /// Map the file and borrow weight slices from it zero-copy. Pages are
+    /// faulted in on first prediction, and artifacts of the same file share
+    /// physical memory with the page cache.
     Mmap,
 }
 
@@ -125,13 +69,10 @@ pub struct TrainingMetadata {
 }
 
 /// The cheap-to-read identity of an artifact: everything `/v1/models`
-/// reports, parsed without materializing the model. For v3 files this reads
-/// only the container header and `META` section; for JSON it parses the
-/// text but skips model construction.
+/// reports, parsed without materializing the model — only the container
+/// header and `META` section are read.
 #[derive(Debug, Clone)]
 pub struct ArtifactHead {
-    /// On-disk layout the artifact was found in.
-    pub format: Format,
     /// Registry name.
     pub name: String,
     /// Version under the name.
@@ -161,9 +102,10 @@ impl ArtifactHead {
 }
 
 /// A servable trained model with its input contract.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelArtifact {
-    /// Artifact layout version (see [`FORMAT_VERSION`]).
+    /// Artifact layout version (see [`FORMAT_VERSION`]), written into the
+    /// container header.
     pub format_version: u32,
     /// Registry name (caller-chosen, e.g. `movies-tree`).
     pub name: String,
@@ -205,15 +147,8 @@ impl ModelArtifact {
     }
 
     /// The cheap identity of this (already loaded) artifact.
-    ///
-    /// `format` here is the layout the in-memory artifact corresponds to —
-    /// always [`Format::V3`], because loads normalize `format_version` and
-    /// a subsequent `save` writes v3. To learn the *on-disk* encoding of an
-    /// existing file, use [`ModelArtifact::load_head`], which reports what
-    /// it found.
     pub fn head(&self) -> ArtifactHead {
         ArtifactHead {
-            format: Format::V3,
             name: self.name.clone(),
             version: self.version,
             family: self.model.family().to_string(),
@@ -245,8 +180,7 @@ impl ModelArtifact {
     /// Dictionary-encodes a batch of raw label rows server-side (the NoJoin
     /// FK-as-feature rewrite at ingest). Unseen labels fall back to the
     /// `Others` slot on open domains and are 4xx-worthy per-row errors on
-    /// closed ones; format-v1 artifacts (no dictionaries) reject raw rows
-    /// outright.
+    /// closed ones; contracts without dictionaries reject raw rows outright.
     pub fn encode_raw(&self, rows: &[Vec<String>]) -> Result<Vec<u32>> {
         if rows.is_empty() {
             return Err(ServeError::BadRequest("empty prediction batch".into()));
@@ -256,48 +190,20 @@ impl ModelArtifact {
             .map_err(|e| self.batch_error(e))
     }
 
-    /// Canonical (format-v3) file path inside an artifact directory.
+    /// File path of this artifact inside an artifact directory.
     pub fn path_in(&self, dir: &Path) -> PathBuf {
-        self.path_in_format(dir, Format::V3)
+        dir.join(format!("{}{ARTIFACT_SUFFIX}", self.key()))
     }
 
-    /// File path for an explicit format.
-    pub fn path_in_format(&self, dir: &Path, format: Format) -> PathBuf {
-        dir.join(format!("{}{}", self.key(), format.suffix()))
-    }
-
-    /// Persists the artifact in the default (v3 binary) format, creating
-    /// the directory if needed. The write goes through a temp file + rename
-    /// so readers never observe a torn artifact.
+    /// Persists the artifact, creating the directory if needed. The write
+    /// goes through a temp file + rename so readers never observe a torn
+    /// artifact.
     pub fn save(&self, dir: &Path) -> Result<PathBuf> {
-        self.save_format(dir, Format::V3)
-    }
-
-    /// Persists in an explicit format (v3 binary or v2 JSON; v1 is
-    /// read-only compat and cannot be written).
-    pub fn save_format(&self, dir: &Path, format: Format) -> Result<PathBuf> {
-        let bytes = match format {
-            Format::V1 => {
-                return Err(ServeError::BadRequest(
-                    "format v1 is read-only; write v2 (json) or v3 (binary)".into(),
-                ))
-            }
-            Format::V2 => {
-                let mut json_self = self.clone();
-                json_self.format_version = if self.format_version == FORMAT_VERSION {
-                    Format::V2.version()
-                } else {
-                    // Preserve an explicitly forced (e.g. future) version.
-                    self.format_version
-                };
-                serde_json::to_string(&json_self)?.into_bytes()
-            }
-            Format::V3 => self.to_v3_bytes()?,
-        };
+        let bytes = self.to_v3_bytes()?;
         std::fs::create_dir_all(dir)
             .map_err(|e| ServeError::io(format!("creating {}", dir.display()), e))?;
-        let path = self.path_in_format(dir, format);
-        let tmp = dir.join(format!(".{}{}.tmp", self.key(), format.suffix()));
+        let path = self.path_in(dir);
+        let tmp = dir.join(format!(".{}{ARTIFACT_SUFFIX}.tmp", self.key()));
         {
             use std::io::Write;
             let mut file = std::fs::File::create(&tmp)
@@ -403,7 +309,7 @@ impl ModelArtifact {
     }
 
     /// Highest version present in `dir` for `name`, parsed from artifact
-    /// *filenames* (`name@V.model.{bin,json}`) — no deserialization, so
+    /// *filenames* (`name@V.model.bin`) — no deserialization, so
     /// version allocation does not need to materialize every stored model.
     /// Returns 0 when none exist.
     pub fn max_version_on_disk(dir: &Path, name: &str) -> u32 {
@@ -426,18 +332,17 @@ impl ModelArtifact {
         Self::load_with(path, LoadMode::Heap)
     }
 
-    /// Loads with an explicit [`LoadMode`]. Format is auto-detected:
-    /// container magic → v3; otherwise JSON with a `format_version` gate
-    /// (v1 payloads are upgraded in memory; anything newer than
-    /// [`FORMAT_VERSION`] is a hard error).
+    /// Loads with an explicit [`LoadMode`]. A container version other than
+    /// [`FORMAT_VERSION`] is a hard error, and so is a file that is not a
+    /// container at all (such as a legacy JSON artifact).
     pub fn load_with(path: &Path, mode: LoadMode) -> Result<ModelArtifact> {
         Ok(Self::load_with_source(path, mode)?.0)
     }
 
     /// [`ModelArtifact::load_with`], additionally returning the memory
-    /// mapping the artifact's weights borrow (mmap loads of v3 files only;
-    /// `None` otherwise). The registry keeps the handle so it can issue
-    /// `madvise` residency hints when a version is promoted or demoted.
+    /// mapping the artifact's weights borrow (mmap loads only; `None`
+    /// otherwise). The registry keeps the handle so it can issue `madvise`
+    /// residency hints when a version is promoted or demoted.
     pub fn load_with_source(
         path: &Path,
         mode: LoadMode,
@@ -445,29 +350,13 @@ impl ModelArtifact {
         let ctx = |e| ServeError::io(format!("reading {}", path.display()), e);
         match mode {
             LoadMode::Mmap => {
-                // Sniff the prefix before mapping: JSON artifacts fall back
-                // to the heap path.
-                let mut prefix = [0u8; 4];
-                {
-                    use std::io::Read;
-                    let mut f = std::fs::File::open(path).map_err(ctx)?;
-                    let n = f.read(&mut prefix).map_err(ctx)?;
-                    if !container::sniff_magic(&prefix[..n]) {
-                        return Self::load_with_source(path, LoadMode::Heap);
-                    }
-                }
                 let map = MmapFile::open(path).map_err(ctx)?;
                 let artifact = Self::from_v3(BytesSource::Mapped(Arc::clone(&map)))?;
                 Ok((artifact, Some(map)))
             }
             LoadMode::Heap => {
                 let bytes = std::fs::read(path).map_err(ctx)?;
-                let artifact = if container::sniff_magic(&bytes) {
-                    Self::from_v3(BytesSource::Heap(Arc::new(bytes)))?
-                } else {
-                    Self::from_json(&bytes, path)?
-                };
-                Ok((artifact, None))
+                Ok((Self::from_v3(BytesSource::Heap(Arc::new(bytes)))?, None))
             }
         }
     }
@@ -539,62 +428,15 @@ impl ModelArtifact {
         })
     }
 
-    /// Decodes a legacy JSON (v1/v2) artifact.
-    fn from_json(bytes: &[u8], path: &Path) -> Result<ModelArtifact> {
-        let mut value = serde_json::from_slice::<serde_json::Value>(bytes)?;
-        match json_format_version(&value, path)? {
-            1 => upgrade_v1(&mut value),
-            2 => normalize_version(&mut value),
-            v => {
-                // A *JSON* body claiming the binary format (or newer).
-                return Err(ServeError::Format {
-                    found: v,
-                    supported: FORMAT_VERSION,
-                });
-            }
-        }
-        let artifact: ModelArtifact = serde_json::from_value(&value)?;
-        Ok(artifact)
-    }
-
-    /// Reads only the artifact's identity (see [`ArtifactHead`]). For v3
-    /// this touches the container header and `META` section only; the
-    /// model payload stays on disk.
+    /// Reads only the artifact's identity (see [`ArtifactHead`]): the
+    /// container header and `META` section. The model payload stays on
+    /// disk.
     pub fn load_head(path: &Path) -> Result<ArtifactHead> {
-        let ctx = |e| ServeError::io(format!("reading {}", path.display()), e);
-        let mut prefix = [0u8; 4];
-        let is_v3 = {
-            use std::io::Read;
-            let mut f = std::fs::File::open(path).map_err(ctx)?;
-            let n = f.read(&mut prefix).map_err(ctx)?;
-            container::sniff_magic(&prefix[..n])
-        };
-        if is_v3 {
-            let meta_bytes = container::read_one_section(path, SEC_META)?;
-            let meta: serde_json::Value = serde_json::from_slice(&meta_bytes)?;
-            head_from_value(&meta, Format::V3)
-        } else {
-            let bytes = std::fs::read(path).map_err(ctx)?;
-            let mut value = serde_json::from_slice::<serde_json::Value>(&bytes)?;
-            let format = match json_format_version(&value, path)? {
-                1 => {
-                    upgrade_v1(&mut value);
-                    Format::V1
-                }
-                2 => Format::V2,
-                v => {
-                    return Err(ServeError::Format {
-                        found: v,
-                        supported: FORMAT_VERSION,
-                    })
-                }
-            };
-            head_from_value(&value, format)
-        }
+        let meta_bytes = container::read_one_section(path, SEC_META)?;
+        let meta: serde_json::Value = serde_json::from_slice(&meta_bytes)?;
+        head_from_meta(&meta)
     }
 }
-
-use serde::Deserialize;
 
 /// JSON body of the `QNTS` descriptor section for a quantized model
 /// (`None` for full-precision payloads). `Subset` wrappers recurse into
@@ -689,39 +531,9 @@ fn cascade_section_json(model: &AnyClassifier) -> Option<String> {
     serde_json::to_string(&value).ok()
 }
 
-/// Extracts the `format_version` gate from a JSON artifact body.
-fn json_format_version(value: &serde_json::Value, path: &Path) -> Result<u32> {
-    let found = match value {
-        serde_json::Value::Obj(entries) => entries
-            .iter()
-            .find(|(k, _)| k == "format_version")
-            .and_then(|(_, v)| match v {
-                serde_json::Value::Num(n) => n.as_u64(),
-                _ => None,
-            }),
-        _ => None,
-    };
-    match found {
-        Some(v)
-            if (u64::from(MIN_READ_FORMAT_VERSION)..=u64::from(FORMAT_VERSION)).contains(&v) =>
-        {
-            Ok(v as u32)
-        }
-        Some(v) => Err(ServeError::Format {
-            found: v as u32,
-            supported: FORMAT_VERSION,
-        }),
-        None => Err(ServeError::Json(format!(
-            "{} has no format_version field",
-            path.display()
-        ))),
-    }
-}
-
-/// Builds an [`ArtifactHead`] from either a v3 `META` object or a (shimmed)
-/// v1/v2 full-artifact object — both carry the same identity keys, v3
-/// adding an explicit `family` so the model payload need not be decoded.
-fn head_from_value(value: &serde_json::Value, format: Format) -> Result<ArtifactHead> {
+/// Builds an [`ArtifactHead`] from a `META` object, which names the model
+/// family explicitly so the payload need not be decoded.
+fn head_from_meta(value: &serde_json::Value) -> Result<ArtifactHead> {
     let obj = value
         .as_obj_view("artifact head")
         .map_err(|e| ServeError::Json(e.to_string()))?;
@@ -745,28 +557,13 @@ fn head_from_value(value: &serde_json::Value, format: Format) -> Result<Artifact
             )))
         }
     };
-    let family = match obj.field("family") {
-        // v3 META carries the family tag explicitly.
-        serde_json::Value::Str(s) => s.clone(),
-        // v1/v2 JSON: walk the externally tagged model enum instead of
-        // materializing it.
-        serde_json::Value::Null => json_model_family(obj.field("model"))?,
-        other => {
-            return Err(ServeError::Json(format!(
-                "artifact `family`: expected string, got {}",
-                other.kind()
-            )))
-        }
-    };
+    let family =
+        String::deserialize(obj.field("family")).map_err(|e| de("family", e.to_string()))?;
     let encoding = match obj.field("encoding") {
-        // Current v3 META carries the encoding tag explicitly.
         serde_json::Value::Str(s) => s.clone(),
-        serde_json::Value::Null => match obj.field("model") {
-            // Pre-quantization v3 META: no model body either, and only
-            // full-precision payloads existed.
-            serde_json::Value::Null => "f32".into(),
-            model => json_model_encoding(model)?,
-        },
+        // META written before quantization existed carries no encoding tag;
+        // every payload of that era is full precision.
+        serde_json::Value::Null => "f32".into(),
         other => {
             return Err(ServeError::Json(format!(
                 "artifact `encoding`: expected string, got {}",
@@ -775,7 +572,6 @@ fn head_from_value(value: &serde_json::Value, format: Format) -> Result<Artifact
         }
     };
     Ok(ArtifactHead {
-        format,
         name,
         version,
         family,
@@ -788,152 +584,10 @@ fn head_from_value(value: &serde_json::Value, format: Format) -> Result<Artifact
     })
 }
 
-/// Family tag from the externally tagged JSON form of [`AnyClassifier`],
-/// without deserializing the payload. `Subset` recurses into its inner
-/// model, mirroring `AnyClassifier::family`.
-fn json_model_family(value: &serde_json::Value) -> Result<String> {
-    let (tag, payload) = value
-        .as_enum_view("AnyClassifier")
-        .map_err(|e| ServeError::Json(e.to_string()))?;
-    Ok(match tag {
-        "Majority" => "majority".into(),
-        "Tree" => "tree".into(),
-        "Knn" => "knn".into(),
-        "Svm" => "svm".into(),
-        "Mlp" => "mlp".into(),
-        "NaiveBayes" => "naive-bayes".into(),
-        "LogReg" => "logreg".into(),
-        "Cascade" => "cascade".into(),
-        "Subset" => {
-            let inner = payload
-                .as_obj_view("SubsetModel")
-                .map_err(|e| ServeError::Json(e.to_string()))?
-                .field("inner");
-            json_model_family(inner)?
-        }
-        "Quantized" => {
-            let inner = payload
-                .as_obj_view("QuantModel")
-                .map_err(|e| ServeError::Json(e.to_string()))?
-                .field("payload");
-            let (ptag, _) = inner
-                .as_enum_view("QuantPayload")
-                .map_err(|e| ServeError::Json(e.to_string()))?;
-            match ptag {
-                "Mlp" => "mlp".into(),
-                "Svm" => "svm".into(),
-                "LogReg" => "logreg".into(),
-                other => {
-                    return Err(ServeError::Json(format!(
-                        "unknown quantized payload variant `{other}`"
-                    )))
-                }
-            }
-        }
-        other => {
-            return Err(ServeError::Json(format!(
-                "unknown model family variant `{other}`"
-            )))
-        }
-    })
-}
-
-/// Weight-storage encoding from the externally tagged JSON form of
-/// [`AnyClassifier`] (`f32` unless the model is quantized), without
-/// deserializing the payload.
-fn json_model_encoding(value: &serde_json::Value) -> Result<String> {
-    let (tag, payload) = value
-        .as_enum_view("AnyClassifier")
-        .map_err(|e| ServeError::Json(e.to_string()))?;
-    Ok(match tag {
-        "Quantized" => {
-            let enc = payload
-                .as_obj_view("QuantModel")
-                .map_err(|e| ServeError::Json(e.to_string()))?
-                .field("encoding");
-            match enc {
-                serde_json::Value::Str(s) => s.to_lowercase(),
-                other => {
-                    return Err(ServeError::Json(format!(
-                        "quantized `encoding`: expected string, got {}",
-                        other.kind()
-                    )))
-                }
-            }
-        }
-        "Subset" => {
-            let inner = payload
-                .as_obj_view("SubsetModel")
-                .map_err(|e| ServeError::Json(e.to_string()))?
-                .field("inner");
-            json_model_encoding(inner)?
-        }
-        // A cascade reports its top tier's encoding (mirrors
-        // `AnyClassifier::encoding`).
-        "Cascade" => {
-            let tiers = payload
-                .as_obj_view("CascadeModel")
-                .map_err(|e| ServeError::Json(e.to_string()))?
-                .field("tiers");
-            match tiers {
-                serde_json::Value::Arr(tiers) => match tiers.last() {
-                    Some(tier) => {
-                        let model = tier
-                            .as_obj_view("CascadeTier")
-                            .map_err(|e| ServeError::Json(e.to_string()))?
-                            .field("model");
-                        json_model_encoding(model)?
-                    }
-                    None => "f32".into(),
-                },
-                other => {
-                    return Err(ServeError::Json(format!(
-                        "cascade `tiers`: expected array, got {}",
-                        other.kind()
-                    )))
-                }
-            }
-        }
-        _ => "f32".into(),
-    })
-}
-
-/// Splits an artifact filename into `(name, version)`, accepting any suffix
-/// in [`ARTIFACT_SUFFIXES`].
+/// Splits an artifact filename (`name@V.model.bin`) into `(name, version)`.
 pub(crate) fn split_artifact_stem(file: &str) -> Option<(&str, u32)> {
-    let stem = ARTIFACT_SUFFIXES
-        .iter()
-        .find_map(|s| file.strip_suffix(s))?;
-    let (n, v) = stem.rsplit_once('@')?;
+    let (n, v) = file.strip_suffix(ARTIFACT_SUFFIX)?.rsplit_once('@')?;
     Some((n, v.parse().ok()?))
-}
-
-/// Read-compat shim: rewrites a format-v1 payload into the v2+ JSON layout
-/// in memory. v1 stored the contract's feature array under a `features` key
-/// (and its entries carry no `domain`, which deserializes as `None`); v2
-/// renamed the key to `contract`. The version field is normalized to
-/// [`FORMAT_VERSION`] so a subsequent `save` writes a coherent artifact.
-fn upgrade_v1(value: &mut serde_json::Value) {
-    if let serde_json::Value::Obj(entries) = value {
-        for (key, _) in entries.iter_mut() {
-            if key == "features" {
-                *key = "contract".to_string();
-            }
-        }
-    }
-    normalize_version(value);
-}
-
-/// Normalizes the in-memory `format_version` to [`FORMAT_VERSION`].
-fn normalize_version(value: &mut serde_json::Value) {
-    if let serde_json::Value::Obj(entries) = value {
-        for (key, entry) in entries.iter_mut() {
-            if key == "format_version" {
-                *entry =
-                    serde_json::Value::Num(serde_json::Number::UInt(u64::from(FORMAT_VERSION)));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1080,31 +734,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn save_format_v2_json_still_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("hamlet-art-v2w-{}", std::process::id()));
-        let art = toy_artifact("json-model", 1);
-        let path = art.save_format(&dir, Format::V2).unwrap();
-        assert!(path.ends_with("json-model@1.model.json"), "{path:?}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"format_version\":2"), "writes v2 on disk");
-        let back = ModelArtifact::load(&path).unwrap();
-        assert_eq!(back.key(), "json-model@1");
-        assert_eq!(back.format_version, FORMAT_VERSION, "normalized on load");
-        assert!(back.contract.has_domains());
-        // v1 is read-only.
-        assert!(art.save_format(&dir, Format::V1).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn max_version_on_disk_parses_filenames_only() {
         let dir = std::env::temp_dir().join(format!("hamlet-art-ver-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         toy_artifact("m", 2).save(&dir).unwrap();
-        toy_artifact("m", 9).save_format(&dir, Format::V2).unwrap();
+        toy_artifact("m", 9).save(&dir).unwrap();
         toy_artifact("other", 40).save(&dir).unwrap();
         // Corrupt content is irrelevant: only the filename is read.
         std::fs::write(dir.join("m@11.model.bin"), "garbage").unwrap();
+        // Legacy JSON files are not artifacts and claim no version.
+        std::fs::write(dir.join("m@20.model.json"), "{}").unwrap();
         std::fs::write(dir.join("nonsense.txt"), "x").unwrap();
         assert_eq!(ModelArtifact::max_version_on_disk(&dir, "m"), 11);
         assert_eq!(ModelArtifact::max_version_on_disk(&dir, "other"), 40);
@@ -1127,12 +766,6 @@ pub(crate) mod tests {
                 assert_eq!(found, FORMAT_VERSION + 1);
                 assert_eq!(supported, FORMAT_VERSION);
             }
-            other => panic!("expected format error, got {other:?}"),
-        }
-        // Same gate on the JSON path.
-        let path = art.save_format(&dir, Format::V2).unwrap();
-        match ModelArtifact::load(&path) {
-            Err(ServeError::Format { found, .. }) => assert_eq!(found, FORMAT_VERSION + 1),
             other => panic!("expected format error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1177,8 +810,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn v1_artifacts_load_through_the_shim() {
-        // A faithful pre-v2 payload: `features` key, no domains.
+    fn legacy_json_artifacts_are_rejected_by_name() {
+        // A faithful format-v1 payload (v2 differs only in its keys).
         let v1 = r#"{
             "format_version": 1,
             "name": "legacy",
@@ -1203,35 +836,30 @@ pub(crate) mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("legacy@4.model.json");
         std::fs::write(&path, v1).unwrap();
-        let art = ModelArtifact::load(&path).unwrap();
-        assert_eq!(art.key(), "legacy@4");
-        assert_eq!(art.format_version, FORMAT_VERSION, "normalized on load");
-        assert_eq!(art.features().len(), 2);
-        assert!(!art.contract.has_domains(), "v1 carries no dictionaries");
-        // Pre-encoded codes still validate; raw labels are rejected with a
-        // clear contract error.
-        art.validate_coded(&[vec![0, 4]]).unwrap();
-        let err = art.encode_raw(&[vec!["a".into(), "b".into()]]).unwrap_err();
-        assert!(err.to_string().contains("no dictionary"), "{err}");
-        // Head parsing reports the same identity without the model.
-        let head = ModelArtifact::load_head(&path).unwrap();
-        assert_eq!(head.format, Format::V1);
-        assert_eq!(head.key(), "legacy@4");
-        assert_eq!(head.family, "majority");
-        assert_eq!(head.n_features, 2);
+        for mode in [LoadMode::Heap, LoadMode::Mmap] {
+            let err = ModelArtifact::load_with(&path, mode).unwrap_err();
+            assert!(err.to_string().contains("legacy JSON"), "{mode:?}: {err}");
+        }
+        let err = ModelArtifact::load_head(&path).unwrap_err();
+        assert!(err.to_string().contains("legacy JSON"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The `META`-only head read agrees with a full load, for a plain model
+    /// and for a cascade (whose family and encoding come from its tiers).
     #[test]
     fn head_matches_full_load_across_formats() {
         let dir = std::env::temp_dir().join(format!("hamlet-art-head-{}", std::process::id()));
-        let art = toy_artifact("headed", 6);
-        for format in [Format::V3, Format::V2] {
-            let path = art.save_format(&dir, format).unwrap();
+        for art in [
+            toy_artifact("headed", 6),
+            toy_cascade_artifact("headed-casc", 6),
+        ] {
+            let path = art.save(&dir).unwrap();
             let head = ModelArtifact::load_head(&path).unwrap();
-            assert_eq!(head.format, format);
-            assert_eq!(head.key(), "headed@6");
-            assert_eq!(head.family, "majority");
+            let full = ModelArtifact::load(&path).unwrap().head();
+            assert_eq!(head.key(), full.key());
+            assert_eq!(head.family, full.family);
+            assert_eq!(head.encoding, full.encoding);
             assert_eq!(head.config, "NoJoin");
             assert_eq!(head.n_features, 2);
             assert_eq!(head.test_accuracy, 0.8);
@@ -1262,7 +890,7 @@ pub(crate) mod tests {
                 assert!(ModelArtifact::load_head(&p).is_err(), "head cut {cut}");
             }
         }
-        // Flipped magic falls through to the JSON parser and fails there.
+        // Flipped magic: not a container at all.
         let mut flipped = bytes.clone();
         flipped[0] = b'X';
         let p = dir.join("magic.model.bin");
@@ -1336,8 +964,8 @@ pub(crate) mod tests {
         let dir = std::env::temp_dir().join(format!("hamlet-art-dedup-{}", std::process::id()));
         let deduped_len = std::fs::metadata(art.save(&dir).unwrap()).unwrap().len();
 
-        // Same contract, domains duplicated per feature (what a v2 JSON
-        // load produces): the v3 writer re-merges them by content.
+        // Same contract, domains allocated separately per feature: the
+        // writer re-merges them by content.
         let mut dup = art.clone();
         dup.contract = FeatureContract::new(
             art.contract

@@ -12,7 +12,7 @@
 //!                    [--concurrency 16] --body-template JSON-with-{i}
 //! hamlet-serve blast --conns 256 --duration 5 [--active 16] --body-template JSON
 //! hamlet-serve artifact inspect <path>
-//! hamlet-serve artifact convert <src> [--to v3|v2] [--dir DIR]
+//! hamlet-serve artifact convert <src> --quantize i8|f16 [--dir DIR]
 //! hamlet-serve artifact diff <a> <b>
 //! hamlet-serve cascade build --tiers <cheap.bin,top.bin> [--target-p 0.95]
 //! hamlet-serve datasets
@@ -28,7 +28,7 @@ use std::time::Instant;
 use hamlet_core::feature_config::FeatureConfig;
 use hamlet_core::model_zoo::ModelSpec;
 use hamlet_serve::api::TrainRequest;
-use hamlet_serve::artifact::{Format, LoadMode, ModelArtifact};
+use hamlet_serve::artifact::{LoadMode, ModelArtifact, FORMAT_VERSION};
 use hamlet_serve::http::ServerOptions;
 use hamlet_serve::server::AppState;
 use hamlet_serve::train::{train_and_register, DATASETS};
@@ -59,8 +59,8 @@ USAGE:
     hamlet-serve rollout <status|start|abort> [--addr <ADDR>]
                          [--candidate <KEY> | --refresh <NAME>] [--slice <PCT>]
     hamlet-serve artifact inspect <PATH>
-    hamlet-serve artifact convert <SRC> [--to v3|v2] [--dir <DIR>]
-                                  [--quantize i8|f16] [--sample-rows <N>]
+    hamlet-serve artifact convert <SRC> --quantize i8|f16
+                                  [--sample-rows <N>] [--dir <DIR>]
     hamlet-serve artifact diff <A> <B>
     hamlet-serve cascade build --tiers <PATH,PATH[,PATH...]>
                                [--target-p <P>] [--calibrator platt|isotonic]
@@ -131,16 +131,14 @@ BLAST:    fires --requests POSTs at --path from --concurrency parallel
 
 ARTIFACT: inspect prints a file's format, sections, weight encoding and
           header without loading the model (quantized artifacts also list
-          per-tensor encodings, byte sizes and scales); convert rewrites
-          between v2 (json) and v3 (binary) reporting the size ratio.
-          convert --quantize i8|f16 additionally rewrites the weight
-          tensors (per-tensor symmetric i8, or IEEE half precision) into a
-          NEW artifact named `<name>-<enc>` and reports the size ratio
-          plus a prediction-agreement estimate against the source model on
+          per-tensor encodings, byte sizes and scales); convert
+          --quantize i8|f16 rewrites the weight tensors (per-tensor
+          symmetric i8, or IEEE half precision) into a NEW artifact named
+          `<name>-<enc>` and reports the size ratio plus a
+          prediction-agreement estimate against the source model on
           --sample-rows (default 512) deterministic in-domain rows; diff
           reports added/removed features, cardinality changes and
-          label-set deltas between two artifact versions (either side may
-          be v1/v2 json or v3 binary).
+          label-set deltas between two artifact versions.
 
 CASCADE:  build bundles existing artifacts (comma-separated, cheapest
           first, authoritative top tier last; all must share one feature
@@ -1025,7 +1023,7 @@ fn cmd_artifact(positional: &[String], flags: &HashMap<String, String>) -> Resul
         }
         Some("convert") => {
             let [src] = &positional[1..] else {
-                return Err("usage: artifact convert <SRC> [--to v3|v2] [--dir <DIR>]".into());
+                return Err("usage: artifact convert <SRC> --quantize i8|f16 [--dir <DIR>]".into());
             };
             artifact_convert(Path::new(src), flags)
         }
@@ -1062,7 +1060,7 @@ fn artifact_inspect(path: &Path) -> Result<(), String> {
     let file_len = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
     let mut out = vec![
         ("path".into(), Value::Str(path.display().to_string())),
-        ("format".into(), Value::Str(head.format.to_string())),
+        ("format".into(), Value::Str(format!("v{FORMAT_VERSION}"))),
         ("file_bytes".into(), Value::Num(Number::UInt(file_len))),
         ("key".into(), Value::Str(head.key())),
         ("family".into(), Value::Str(head.family.clone())),
@@ -1082,31 +1080,27 @@ fn artifact_inspect(path: &Path) -> Result<(), String> {
             Value::Num(Number::UInt(head.schema_fingerprint)),
         ),
     ];
-    if head.format == Format::V3 {
-        // Physical layout: section table straight from the header.
-        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-        let entries = hamlet_serve::container::parse_sections(&bytes).map_err(|e| e.to_string())?;
-        let sections = entries
-            .iter()
-            .map(|s| {
-                Value::Obj(vec![
-                    ("tag".into(), Value::Str(s.tag_str())),
-                    ("offset".into(), Value::Num(Number::UInt(s.offset as u64))),
-                    ("bytes".into(), Value::Num(Number::UInt(s.len as u64))),
-                ])
-            })
-            .collect();
-        out.push(("sections".into(), Value::Arr(sections)));
-        // Quantized payloads carry a JSON descriptor section: per-tensor
-        // encoding, byte size, and (for i8) the symmetric scale.
-        if let Ok(entry) =
-            hamlet_serve::container::find(&entries, hamlet_serve::container::SEC_QNTS)
-        {
-            let qnts = &bytes[entry.offset..entry.offset + entry.len];
-            let desc: Value = serde_json::from_slice(qnts)
-                .map_err(|e| format!("QNTS section is not valid JSON: {e}"))?;
-            out.push(("quantization".into(), desc));
-        }
+    // Physical layout: section table straight from the header.
+    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+    let entries = hamlet_serve::container::parse_sections(&bytes).map_err(|e| e.to_string())?;
+    let sections = entries
+        .iter()
+        .map(|s| {
+            Value::Obj(vec![
+                ("tag".into(), Value::Str(s.tag_str())),
+                ("offset".into(), Value::Num(Number::UInt(s.offset as u64))),
+                ("bytes".into(), Value::Num(Number::UInt(s.len as u64))),
+            ])
+        })
+        .collect();
+    out.push(("sections".into(), Value::Arr(sections)));
+    // Quantized payloads carry a JSON descriptor section: per-tensor
+    // encoding, byte size, and (for i8) the symmetric scale.
+    if let Ok(entry) = hamlet_serve::container::find(&entries, hamlet_serve::container::SEC_QNTS) {
+        let qnts = &bytes[entry.offset..entry.offset + entry.len];
+        let desc: Value = serde_json::from_slice(qnts)
+            .map_err(|e| format!("QNTS section is not valid JSON: {e}"))?;
+        out.push(("quantization".into(), desc));
     }
     println!(
         "{}",
@@ -1115,12 +1109,18 @@ fn artifact_inspect(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Rewrites an artifact between formats, reporting both sizes.
+/// `convert --quantize i8|f16`: rewrite the weight tensors into a NEW
+/// artifact named `<name>-<enc>` (same version) and report the size ratio
+/// plus a prediction-agreement estimate on deterministic in-domain rows.
 fn artifact_convert(src: &Path, flags: &HashMap<String, String>) -> Result<(), String> {
-    let to = match flags.get("to").map(String::as_str) {
-        None | Some("v3") => Format::V3,
-        Some("v2") => Format::V2,
-        Some(other) => return Err(format!("bad --to `{other}` (v3|v2)")),
+    let spec = flags
+        .get("quantize")
+        .ok_or("artifact convert needs --quantize i8|f16")?;
+    let enc = hamlet_ml::quant::QuantEncoding::parse(spec)
+        .ok_or_else(|| format!("bad --quantize `{spec}` (i8|f16)"))?;
+    let sample_rows: usize = match flags.get("sample-rows") {
+        Some(n) => n.parse().map_err(|_| format!("bad --sample-rows `{n}`"))?,
+        None => 512,
     };
     let out_dir = flags
         .get("dir")
@@ -1129,58 +1129,6 @@ fn artifact_convert(src: &Path, flags: &HashMap<String, String>) -> Result<(), S
         .unwrap_or_else(|| PathBuf::from("."));
     let artifact =
         ModelArtifact::load(src).map_err(|e| format!("loading {}: {e}", src.display()))?;
-    if let Some(spec) = flags.get("quantize") {
-        if flags.get("to").map(String::as_str) == Some("v2") {
-            return Err("--quantize writes v3 binary artifacts; drop --to v2".into());
-        }
-        let enc = hamlet_ml::quant::QuantEncoding::parse(spec)
-            .ok_or_else(|| format!("bad --quantize `{spec}` (i8|f16)"))?;
-        return artifact_quantize(src, &artifact, enc, &out_dir, flags);
-    }
-    // Refuse in-place rewrites *before* touching the filesystem, comparing
-    // resolved paths so `./artifacts/x` and `artifacts/x` don't sneak past.
-    let planned = artifact.path_in_format(&out_dir, to);
-    let resolved_src = src.canonicalize().map_err(|e| e.to_string())?;
-    let same_file = match planned.canonicalize() {
-        Ok(resolved_dst) => resolved_dst == resolved_src,
-        // Destination doesn't exist yet — cannot be the source.
-        Err(_) => false,
-    };
-    if same_file {
-        return Err(format!(
-            "refusing to overwrite {} with itself; pass --dir or --to",
-            src.display()
-        ));
-    }
-    let dst = artifact
-        .save_format(&out_dir, to)
-        .map_err(|e| e.to_string())?;
-    let src_len = std::fs::metadata(src).map_err(|e| e.to_string())?.len();
-    let dst_len = std::fs::metadata(&dst).map_err(|e| e.to_string())?.len();
-    println!(
-        "{{\"src\":\"{}\",\"src_bytes\":{src_len},\"dst\":\"{}\",\"dst_bytes\":{dst_len},\
-         \"ratio\":{:.2}}}",
-        src.display(),
-        dst.display(),
-        src_len as f64 / dst_len.max(1) as f64
-    );
-    Ok(())
-}
-
-/// `convert --quantize i8|f16`: rewrite the weight tensors into a NEW v3
-/// artifact named `<name>-<enc>` (same version) and report the size ratio
-/// plus a prediction-agreement estimate on deterministic in-domain rows.
-fn artifact_quantize(
-    src: &Path,
-    artifact: &ModelArtifact,
-    enc: hamlet_ml::quant::QuantEncoding,
-    out_dir: &Path,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    let sample_rows: usize = match flags.get("sample-rows") {
-        Some(n) => n.parse().map_err(|_| format!("bad --sample-rows `{n}`"))?,
-        None => 512,
-    };
     let mut quantized = artifact.clone();
     quantized.model = artifact
         .model
@@ -1190,32 +1138,19 @@ fn artifact_quantize(
     // servable next to its quantized sibling.
     quantized.name = format!("{}-{}", artifact.name, enc.name());
 
-    // Agreement estimate: a fixed-seed LCG draws in-domain codes from the
-    // contract cardinalities, so the report is reproducible run to run.
     let cards: Vec<u32> = artifact.features().iter().map(|f| f.cardinality).collect();
     let d = cards.len();
     let agreement = if d == 0 || sample_rows == 0 {
         1.0
     } else {
-        let mut state = 0x243F6A88_85A308D3u64;
-        let mut rows = Vec::with_capacity(sample_rows * d);
-        for _ in 0..sample_rows {
-            for &card in &cards {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                rows.push(((state >> 33) % u64::from(card.max(1))) as u32);
-            }
-        }
+        let rows = sample_in_domain_rows(&cards, sample_rows);
         let base = artifact.model.predict_batch(&rows, d);
         let quant = quantized.model.predict_batch(&rows, d);
         let same = base.iter().zip(&quant).filter(|(a, b)| a == b).count();
         same as f64 / base.len() as f64
     };
 
-    let dst = quantized
-        .save_format(out_dir, Format::V3)
-        .map_err(|e| e.to_string())?;
+    let dst = quantized.save(&out_dir).map_err(|e| e.to_string())?;
     let src_len = std::fs::metadata(src).map_err(|e| e.to_string())?.len();
     let dst_len = std::fs::metadata(&dst).map_err(|e| e.to_string())?.len();
     println!(
@@ -1243,8 +1178,8 @@ fn cmd_cascade(positional: &[String], flags: &HashMap<String, String>) -> Result
 }
 
 /// Deterministic in-domain sample rows: a fixed-seed LCG drawing codes
-/// from the contract cardinalities, identical run to run (the same
-/// generator the quantization agreement estimate uses).
+/// from the contract cardinalities, identical run to run, so the
+/// quantization agreement estimate and cascade calibration reproduce.
 fn sample_in_domain_rows(cards: &[u32], n: usize) -> Vec<u32> {
     let mut state = 0x243F6A88_85A308D3u64;
     let mut rows = Vec::with_capacity(n * cards.len());
@@ -1417,10 +1352,7 @@ fn cascade_build(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("name")
         .cloned()
         .unwrap_or_else(|| format!("{}-casc", top_artifact.name));
-    // Cascades need the v3 CASC descriptor section.
-    let dst = out
-        .save_format(&out_dir, Format::V3)
-        .map_err(|e| e.to_string())?;
+    let dst = out.save(&out_dir).map_err(|e| e.to_string())?;
     let dst_len = std::fs::metadata(&dst).map_err(|e| e.to_string())?.len();
 
     let join_json = |xs: &[String]| xs.join(",");

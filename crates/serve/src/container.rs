@@ -43,6 +43,11 @@ pub const MAGIC: [u8; 4] = *b"HMLA";
 /// Container layout version written by this build.
 pub const CONTAINER_VERSION: u32 = 3;
 
+/// What loads and warm-load report for a JSON artifact of the retired
+/// formats v1/v2.
+pub(crate) const LEGACY_JSON_HINT: &str =
+    "legacy JSON artifact (formats v1/v2 are no longer readable; retrain the model)";
+
 /// Fixed header size before the section table.
 const HEADER_LEN: usize = 16;
 
@@ -205,6 +210,11 @@ pub(crate) fn build_raw(version: u32, sections: &[([u8; 8], &[u8])]) -> Vec<u8> 
 /// the header grammar.
 fn parse_header(header: &[u8]) -> Result<(usize, usize)> {
     if !sniff_magic(header) {
+        // The retired JSON artifacts (formats v1/v2) start with `{`: name
+        // them, so a legacy file is not mistaken for a damaged one.
+        if header.first() == Some(&b'{') {
+            return Err(ServeError::Json(LEGACY_JSON_HINT.into()));
+        }
         return Err(corrupt("bad magic"));
     }
     if header.len() < HEADER_LEN {

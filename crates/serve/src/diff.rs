@@ -6,8 +6,7 @@
 //! cardinality changes shift the valid code range, and label-set deltas
 //! change what raw strings encode to (a label moving in or out of a
 //! dictionary silently reroutes through the `Others` slot, or starts
-//! 4xx-ing on closed domains). Works across formats: both sides may be
-//! v1/v2 JSON or v3 binary.
+//! 4xx-ing on closed domains).
 
 use hamlet_ml::dataset::FeatureMeta;
 
@@ -340,8 +339,8 @@ mod tests {
     }
 
     #[test]
-    fn diff_works_across_v2_and_v3_files() {
-        use crate::artifact::{Format, ModelArtifact};
+    fn diff_works_on_heap_and_mmap_loaded_files() {
+        use crate::artifact::{LoadMode, ModelArtifact};
         let dir = std::env::temp_dir().join(format!("hamlet-diff-{}", std::process::id()));
         let a = toy_artifact("x", 1);
         let mut b = toy_artifact("x", 2);
@@ -358,11 +357,11 @@ mod tests {
             ),
         ])
         .unwrap();
-        let pa = a.save_format(&dir, Format::V2).unwrap();
+        let pa = a.save(&dir).unwrap();
         let pb = b.save(&dir).unwrap();
         let d = diff_artifacts(
-            &ModelArtifact::load(&pa).unwrap(),
-            &ModelArtifact::load(&pb).unwrap(),
+            &ModelArtifact::load_with(&pa, LoadMode::Heap).unwrap(),
+            &ModelArtifact::load_with(&pb, LoadMode::Mmap).unwrap(),
         );
         assert_eq!(d.cardinality_changes[0].from, 5);
         assert_eq!(d.cardinality_changes[0].to, 6);

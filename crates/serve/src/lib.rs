@@ -97,7 +97,7 @@ pub mod prelude {
         RolloutStartRequest, RolloutStatusResponse, TrainRequest, TrainResponse,
     };
     pub use crate::artifact::{
-        ArtifactHead, Format, LoadMode, ModelArtifact, TrainingMetadata, FORMAT_VERSION,
+        ArtifactHead, LoadMode, ModelArtifact, TrainingMetadata, FORMAT_VERSION,
     };
     pub use crate::coalesce::{CoalesceConfig, CoalesceSnapshot, Coalescer};
     pub use crate::error::{Result as ServeResult, ServeError};

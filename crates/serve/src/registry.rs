@@ -41,9 +41,8 @@ use std::sync::{Arc, RwLock};
 
 use hamlet_ml::binenc::{MapAdvice, MmapFile};
 
-use crate::artifact::{
-    split_artifact_stem, ArtifactHead, LoadMode, ModelArtifact, ARTIFACT_SUFFIX_BIN,
-};
+use crate::artifact::{split_artifact_stem, ArtifactHead, LoadMode, ModelArtifact};
+use crate::container::LEGACY_JSON_HINT;
 use crate::error::{Result, ServeError};
 use crate::swap::ArcSwapCell;
 
@@ -301,13 +300,13 @@ impl ModelRegistry {
         Self::warm_load_with(dir, LoadMode::Heap)
     }
 
-    /// Registry warm-loaded from every `*.model.{bin,json}` in `dir`
-    /// (missing directory = empty registry, so first boot needs no setup).
-    /// Returns the registry and the number of artifacts registered.
+    /// Registry warm-loaded from every `*.model.bin` in `dir` (missing
+    /// directory = empty registry, so first boot needs no setup). Returns
+    /// the registry and the number of artifacts registered.
     ///
     /// Only the **latest version per name is fully loaded** (with `mode`);
-    /// older versions register lazily by header. When the same
-    /// `name@version` exists in both formats, the binary file wins. An
+    /// older versions register lazily by header. Legacy `*.model.json`
+    /// files (formats v1/v2) are skipped with a stderr warning. An
     /// unreadable or wrong-format artifact is *skipped with a stderr
     /// warning* rather than failing the boot — one bad file (e.g. written
     /// by a newer build before a rollback) must not take every valid model
@@ -320,30 +319,24 @@ impl ModelRegistry {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((registry, 0)),
             Err(e) => return Err(ServeError::io(format!("listing {}", dir.display()), e)),
         };
-        // Collect candidate files keyed by (name, version), binary first.
-        let mut candidates: HashMap<(String, u32), PathBuf> = HashMap::new();
+        // Group artifact files by name.
+        let mut by_name: HashMap<String, Vec<(u32, PathBuf)>> = HashMap::new();
         for entry in entries {
             let entry =
                 entry.map_err(|e| ServeError::io(format!("listing {}", dir.display()), e))?;
             let file = entry.file_name();
             let Some(file) = file.to_str() else { continue };
-            let Some((name, version)) = split_artifact_stem(file) else {
-                continue;
-            };
-            let path = entry.path();
-            candidates
-                .entry((name.to_string(), version))
-                .and_modify(|existing| {
-                    if file.ends_with(ARTIFACT_SUFFIX_BIN) {
-                        *existing = path.clone();
-                    }
-                })
-                .or_insert(path);
-        }
-        // Group versions per name, newest first.
-        let mut by_name: HashMap<String, Vec<(u32, PathBuf)>> = HashMap::new();
-        for ((name, version), path) in candidates {
-            by_name.entry(name).or_default().push((version, path));
+            match split_artifact_stem(file) {
+                Some((name, version)) => by_name
+                    .entry(name.to_string())
+                    .or_default()
+                    .push((version, entry.path())),
+                None if file.ends_with(".model.json") => eprintln!(
+                    "warm-load: skipping {}: {LEGACY_JSON_HINT}",
+                    entry.path().display()
+                ),
+                None => {}
+            }
         }
         let mut loaded = 0;
         let mut index = registry.inner.write().expect("registry lock poisoned");
@@ -776,7 +769,6 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use crate::artifact::tests::toy_artifact;
-    use crate::artifact::Format;
 
     #[test]
     fn name_resolves_to_latest_version() {
@@ -884,7 +876,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hamlet-reg-lazy-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         toy_artifact("l", 1).save(&dir).unwrap();
-        toy_artifact("l", 2).save_format(&dir, Format::V2).unwrap();
+        toy_artifact("l", 2).save(&dir).unwrap();
         toy_artifact("l", 3).save(&dir).unwrap();
         let (reg, loaded) = ModelRegistry::warm_load(&dir).unwrap();
         assert_eq!(loaded, 3);
@@ -897,8 +889,7 @@ mod tests {
         let rows = reg.list();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows.iter().filter(|r| r.resident).count(), 1, "{rows:?}");
-        // Bare name → resident latest; pinned old version loads on demand
-        // (across formats: l@2 is a JSON artifact).
+        // Bare name → resident latest; pinned old version loads on demand.
         assert_eq!(reg.get("l").unwrap().version, 3);
         assert_eq!(reg.get("l@2").unwrap().version, 2);
         assert_eq!(reg.get("l@1").unwrap().version, 1);
@@ -970,12 +961,15 @@ mod tests {
     fn warm_load_prefers_binary_over_json_for_same_version() {
         let dir = std::env::temp_dir().join(format!("hamlet-reg-pref-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let art = toy_artifact("p", 1);
-        art.save(&dir).unwrap();
-        art.save_format(&dir, Format::V2).unwrap();
+        toy_artifact("p", 1).save(&dir).unwrap();
+        // Legacy JSON files beside it, of the same and of a newer version,
+        // are not artifacts: they are skipped.
+        std::fs::write(dir.join("p@1.model.json"), r#"{"format_version":2}"#).unwrap();
+        std::fs::write(dir.join("p@2.model.json"), r#"{"format_version":2}"#).unwrap();
         let (reg, loaded) = ModelRegistry::warm_load(&dir).unwrap();
-        assert_eq!(loaded, 1, "one artifact, two encodings");
+        assert_eq!(loaded, 1, "only the binary artifact registers");
         assert_eq!(reg.get("p").unwrap().version, 1);
+        assert!(reg.get("p@2").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -985,7 +979,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         toy_artifact("good", 1).save(&dir).unwrap();
         // A corrupt artifact and a future-format artifact sit alongside it.
-        std::fs::write(dir.join("corrupt@1.model.json"), "{not json").unwrap();
+        std::fs::write(dir.join("corrupt@1.model.bin"), "not a container").unwrap();
         let mut future = toy_artifact("future", 1);
         future.format_version = crate::artifact::FORMAT_VERSION + 1;
         future.save(&dir).unwrap();

@@ -901,9 +901,8 @@ fn predict(state: &AppState, req: &Request, responder: Responder) {
 /// `POST /v1/explain`: decode coded rows back to their raw label strings
 /// via the artifact's contract — the inverse of the `rows_raw` ingest path,
 /// useful for auditing what a stored code vector actually *means* against
-/// the dictionaries the model was trained with. Requires a format-v2
-/// artifact (dictionaries embedded); v1 artifacts get a 400 naming the
-/// feature that has no dictionary.
+/// the dictionaries the model was trained with. A contract without
+/// dictionaries gets a 400 naming the feature that has none.
 fn explain(state: &AppState, req: &Request) -> Result<ExplainResponse, ServeError> {
     let body: ExplainRequest = parse_body(req)?;
     let artifact = state.registry.get(&body.model)?;

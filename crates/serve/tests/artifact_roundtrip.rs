@@ -64,7 +64,7 @@ fn roundtrip_spec(spec: ModelSpec, tag: &str) {
         reloaded.feature_fingerprint(),
         artifact.feature_fingerprint()
     );
-    // The v2 contract (with dictionaries) survives byte-for-byte: raw
+    // The contract (with dictionaries) survives byte-for-byte: raw
     // labels decoded from the test rows re-encode to the original codes.
     assert_eq!(reloaded.contract, artifact.contract, "{}", spec.name());
     assert!(reloaded.contract.has_domains(), "{}", spec.name());

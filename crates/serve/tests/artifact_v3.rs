@@ -1,6 +1,6 @@
 //! Format-v3 acceptance: the round-trip parity matrix (every model family
-//! × heap/mmap load), the ANN size-ratio target, corruption handling, and
-//! legacy (handcrafted v1 + v2 JSON) warm-loads through the registry.
+//! × heap/mmap load), raw weight storage, corruption handling, and legacy
+//! JSON files being skipped by warm-load.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use hamlet_ml::naive_bayes::NaiveBayes;
 use hamlet_ml::svm::{KernelKind, SvmModel, SvmParams};
 use hamlet_ml::tree::{DecisionTree, SplitCriterion, TreeParams};
 use hamlet_relation::domain::CatDomain;
-use hamlet_serve::artifact::{Format, LoadMode, ModelArtifact, TrainingMetadata, FORMAT_VERSION};
+use hamlet_serve::artifact::{LoadMode, ModelArtifact, TrainingMetadata, FORMAT_VERSION};
 use hamlet_serve::registry::ModelRegistry;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -191,10 +191,10 @@ fn parity_matrix_every_family_heap_and_mmap() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The tentpole's size target: a (weight-dominated) ANN artifact stored as
-/// v3 is at least 4× smaller than the same artifact as v2 JSON.
+/// v3 stores weight arrays raw: a weight-dominated ANN artifact is its
+/// weight bytes plus a small header, contract and dictionary overhead.
 #[test]
-fn ann_v3_artifact_is_4x_smaller_than_v2_json() {
+fn ann_v3_artifact_stores_weights_raw() {
     let ds = dict_dataset(23, 120);
     let mlp = Mlp::fit(
         &ds,
@@ -208,14 +208,11 @@ fn ann_v3_artifact_is_4x_smaller_than_v2_json() {
     .unwrap();
     let art = artifact_for(mlp.into(), &ds, "size-ann");
     let dir = tmp_dir("size");
-    let v3 = std::fs::metadata(art.save(&dir).unwrap()).unwrap().len();
-    let v2 = std::fs::metadata(art.save_format(&dir, Format::V2).unwrap())
-        .unwrap()
-        .len();
+    let len = std::fs::metadata(art.save(&dir).unwrap()).unwrap().len();
+    let weights = art.model.weight_bytes() as u64;
     assert!(
-        v2 >= 4 * v3,
-        "v2 json is {v2} bytes, v3 binary is {v3} bytes — ratio {:.2} < 4",
-        v2 as f64 / v3 as f64
+        len <= weights + 4096,
+        "artifact is {len} bytes for {weights} bytes of weights"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -246,81 +243,38 @@ fn warm_load_survives_corrupted_and_truncated_v3_artifacts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Handcrafted v1 and v2 JSON files — byte layouts frozen from the earlier
-/// releases — still warm-load and serve next to v3 artifacts.
+/// Legacy JSON artifacts (formats v1 and v2, byte layouts frozen from the
+/// earlier releases) are no longer read: warm-load skips them and serves
+/// the v3 artifact beside them.
 #[test]
-fn handcrafted_v1_and_v2_artifacts_warm_load_alongside_v3() {
+fn legacy_json_artifacts_are_skipped_by_warm_load() {
     let dir = tmp_dir("legacy");
     std::fs::create_dir_all(&dir).unwrap();
-    // v1: `features` key, no dictionaries.
     std::fs::write(
         dir.join("legacy-v1@1.model.json"),
-        r#"{
-            "format_version": 1,
-            "name": "legacy-v1", "version": 1,
+        r#"{"format_version": 1, "name": "legacy-v1", "version": 1,
             "model": {"Majority": {"positive": false}},
-            "feature_config": "NoJoin",
-            "features": [
-                {"name": "a", "cardinality": 3, "provenance": "Home"}
-            ],
-            "schema_fingerprint": 1,
-            "metadata": {
-                "dataset": "toy", "spec": "TreeGini", "train_rows": 4,
-                "metrics": {"model": "m", "config": "NoJoin",
-                            "train_accuracy": 1.0, "val_accuracy": 1.0,
-                            "test_accuracy": 0.5, "seconds": 0.0,
-                            "winner": "-"}
-            }
-        }"#,
+            "features": [{"name": "a", "cardinality": 3, "provenance": "Home"}]}"#,
     )
     .unwrap();
-    // v2: `contract` key with embedded dictionaries.
     std::fs::write(
         dir.join("legacy-v2@1.model.json"),
-        r#"{
-            "format_version": 2,
-            "name": "legacy-v2", "version": 1,
+        r#"{"format_version": 2, "name": "legacy-v2", "version": 1,
             "model": {"Majority": {"positive": true}},
-            "feature_config": "NoJoin",
-            "contract": [
-                {"name": "a", "cardinality": 3,
-                 "provenance": {"ForeignKey": {"dim": 0}},
-                 "domain": {"name": "a", "labels": ["x", "y", "Others"]}}
-            ],
-            "schema_fingerprint": 2,
-            "metadata": {
-                "dataset": "toy", "spec": "TreeGini", "train_rows": 4,
-                "metrics": {"model": "m", "config": "NoJoin",
-                            "train_accuracy": 1.0, "val_accuracy": 1.0,
-                            "test_accuracy": 0.5, "seconds": 0.0,
-                            "winner": "-"}
-            }
-        }"#,
+            "contract": [{"name": "a", "cardinality": 3, "provenance": "Home",
+                          "domain": {"name": "a", "labels": ["x", "y", "Others"]}}]}"#,
     )
     .unwrap();
-    // A v3 artifact beside them.
     let ds = dict_dataset(41, 30);
     artifact_for(MajorityClass { positive: true }.into(), &ds, "modern")
         .save(&dir)
         .unwrap();
 
     let (reg, loaded) = ModelRegistry::warm_load(&dir).unwrap();
-    assert_eq!(loaded, 3);
-    let v1 = reg.get("legacy-v1").unwrap();
-    assert!(!v1.contract.has_domains());
-    assert!(!v1.model.predict_row(&[0]));
-    let v2 = reg.get("legacy-v2").unwrap();
-    assert!(v2.contract.has_domains());
-    // The v2 dictionary still encodes raw labels, Others fallback intact.
-    assert_eq!(v2.encode_raw(&[vec!["unseen".into()]]).unwrap(), vec![2]);
+    assert_eq!(loaded, 1);
+    assert!(reg.get("legacy-v1").is_err());
+    assert!(reg.get("legacy-v2").is_err());
     assert!(reg.get("modern").is_ok());
-
-    // Converting a legacy artifact to v3 preserves predictions and the
-    // contract (the full v2→v3 upgrade path).
-    let upgraded_path = v2.save(&dir).unwrap();
-    let upgraded = ModelArtifact::load_with(&upgraded_path, LoadMode::Mmap).unwrap();
-    assert_eq!(upgraded.model, v2.model);
-    assert_eq!(upgraded.contract, v2.contract);
     std::fs::remove_dir_all(&dir).ok();
 }
 

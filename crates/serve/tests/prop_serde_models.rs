@@ -1,10 +1,12 @@
-//! Property test: `AnyClassifier` serde roundtrip preserves `predict_row`
-//! on arbitrary in-domain rows, for every model family.
+//! Property test: the binary model codec (`AnyClassifier::encode_bin` /
+//! `decode_bin`, an artifact's `MODL` section) roundtrips every model
+//! family, preserving `predict_row` on arbitrary in-domain rows.
 
 use proptest::prelude::*;
 
 use hamlet_ml::ann::{AnnParams, Mlp};
 use hamlet_ml::any::{AnyClassifier, SubsetModel};
+use hamlet_ml::binenc::{BinReader, BinWriter};
 use hamlet_ml::dataset::{CatDataset, FeatureMeta, Provenance};
 use hamlet_ml::knn::OneNearestNeighbor;
 use hamlet_ml::logreg::{LogRegL1, LogRegParams};
@@ -89,6 +91,19 @@ fn all_families(ds: &CatDataset) -> Vec<AnyClassifier> {
     models
 }
 
+fn encode(model: &AnyClassifier) -> Vec<u8> {
+    let mut w = BinWriter::new();
+    model.encode_bin(&mut w);
+    w.finish()
+}
+
+fn decode(bytes: Vec<u8>) -> AnyClassifier {
+    let mut r = BinReader::over_heap(bytes);
+    let model = AnyClassifier::decode_bin(&mut r).unwrap();
+    r.expect_end().unwrap();
+    model
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -103,8 +118,7 @@ proptest! {
             .collect();
 
         for model in all_families(&ds) {
-            let json = serde_json::to_string(&model).unwrap();
-            let back: AnyClassifier = serde_json::from_str(&json).unwrap();
+            let back = decode(encode(&model));
             prop_assert_eq!(&back, &model, "family {}", model.family());
             for probe in &probes {
                 prop_assert_eq!(
@@ -120,12 +134,11 @@ proptest! {
 
     #[test]
     fn roundtrip_is_stable_under_double_serialization(ds in dataset_strategy()) {
-        // serialize(deserialize(serialize(m))) == serialize(m): no lossy
-        // float printing or field reordering anywhere in the chain.
+        // encode(decode(encode(m))) == encode(m): no lossy step or field
+        // reordering anywhere in the chain.
         for model in all_families(&ds) {
-            let once = serde_json::to_string(&model).unwrap();
-            let back: AnyClassifier = serde_json::from_str(&once).unwrap();
-            let twice = serde_json::to_string(&back).unwrap();
+            let once = encode(&model);
+            let twice = encode(&decode(once.clone()));
             prop_assert_eq!(once, twice, "family {}", model.family());
         }
     }

@@ -1,4 +1,4 @@
-//! Raw-string ingest parity: for **every model family**, a v2 artifact
+//! Raw-string ingest parity: for **every model family**, an artifact
 //! saved to disk and warm-loaded back serves `rows_raw` (label strings,
 //! dictionary-encoded server-side) with predictions bit-identical to the
 //! equivalent pre-encoded `rows` — and both match the in-process model.
@@ -147,7 +147,7 @@ fn rows_raw_bitmatches_rows_for_every_model_family() {
     }
 
     // Warm-load everything back from disk: the served contract is the one
-    // that survived the v2 JSON roundtrip, not the in-memory original.
+    // that survived the save/load roundtrip, not the in-memory original.
     let (state, loaded) = AppState::warm(dir.clone()).unwrap();
     assert_eq!(loaded, models.len());
     let handler = router(Arc::clone(&state));
@@ -282,7 +282,7 @@ fn unseen_labels_follow_open_closed_domain_rules() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `encode(decode(codes)) == codes` under a v2 artifact's contract, for
+    /// `encode(decode(codes)) == codes` under a saved artifact's contract, for
     /// arbitrary in-domain code rows.
     #[test]
     fn encode_decode_roundtrips_under_artifact_contract(seed in 0u64..10_000) {
