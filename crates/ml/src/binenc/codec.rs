@@ -8,7 +8,7 @@
 
 use crate::ann::Mlp;
 use crate::any::{AnyClassifier, SubsetModel};
-use crate::binenc::{BinReader, BinWriter};
+use crate::binenc::{BinReader, BinWriter, PodVec};
 use crate::cascade::{Calibrator, CascadeModel, CascadeTier, MAX_TIERS};
 use crate::error::{MlError, Result};
 use crate::knn::OneNearestNeighbor;
@@ -145,19 +145,21 @@ fn decode_svm(r: &mut BinReader) -> Result<SvmModel> {
     let kernel = decode_kernel(r)?;
     let n_features = r.read_usize()?;
     let bias = r.read_f64()?;
-    let sv_coef = r.read_pod_vec()?;
-    let sv_rows = r.read_pod_vec()?;
-    let m = SvmModel {
-        kernel,
-        n_features,
-        sv_rows,
-        sv_coef,
-        bias,
-    };
-    if m.n_features == 0 || Some(m.sv_rows.len()) != m.sv_coef.len().checked_mul(m.n_features) {
+    let sv_coef: PodVec<f64> = r.read_pod_vec()?;
+    let sv_rows: PodVec<u32> = r.read_pod_vec()?;
+    if !svm_width_ok(n_features) || Some(sv_rows.len()) != sv_coef.len().checked_mul(n_features) {
         return Err(bad("SVM support-vector shapes disagree"));
     }
-    Ok(m)
+    Ok(SvmModel::from_parts(
+        kernel, n_features, sv_rows, sv_coef, bias,
+    ))
+}
+
+/// An SVM row width the trainer can produce: at least one feature, and
+/// match counts that fit the `u16` match matrix. The bound also caps the
+/// per-model kernel table a corrupt header could otherwise inflate.
+fn svm_width_ok(n_features: usize) -> bool {
+    (1..u16::MAX as usize).contains(&n_features)
 }
 
 fn encode_knn(w: &mut BinWriter, m: &OneNearestNeighbor) {
@@ -365,19 +367,14 @@ fn decode_quant(r: &mut BinReader) -> Result<QuantModel> {
             let bias = r.read_f64()?;
             let sv_coef = decode_qtensor64(r, encoding)?;
             let sv_rows = r.read_pod_vec::<u32>()?;
-            let m = QuantSvm {
-                kernel,
-                n_features,
-                sv_rows,
-                sv_coef,
-                bias,
-            };
-            if m.n_features == 0
-                || Some(m.sv_rows.len()) != m.sv_coef.len().checked_mul(m.n_features)
+            if !svm_width_ok(n_features)
+                || Some(sv_rows.len()) != sv_coef.len().checked_mul(n_features)
             {
                 return Err(bad("quantized SVM support-vector shapes disagree"));
             }
-            QuantPayload::Svm(m)
+            QuantPayload::Svm(QuantSvm::from_parts(
+                kernel, n_features, sv_rows, sv_coef, bias,
+            ))
         }
         2 => {
             let intercept = r.read_f64()?;
@@ -725,6 +722,28 @@ mod tests {
         let mut r = BinReader::over_heap(vec![99]);
         let err = AnyClassifier::decode_bin(&mut r).unwrap_err();
         assert!(err.to_string().contains("family tag"), "{err}");
+    }
+
+    #[test]
+    fn svm_width_outside_the_match_matrix_is_a_clean_error() {
+        // An SVM without support vectors passes the shape check at any
+        // width, so the width bound alone stops a header from sizing the
+        // kernel table.
+        let decode = |width: usize| {
+            let mut w = BinWriter::new();
+            w.put_u8(3);
+            encode_kernel(&mut w, KernelKind::Rbf { gamma: 0.5 });
+            w.put_usize(width);
+            w.put_f64(1.0);
+            w.put_pod_slice::<f64>(&[]);
+            w.put_pod_slice::<u32>(&[]);
+            AnyClassifier::decode_bin(&mut BinReader::over_heap(w.finish()))
+        };
+        assert!(decode(u16::MAX as usize - 1).is_ok());
+        for width in [0, u16::MAX as usize, 1 << 40] {
+            let err = decode(width).unwrap_err();
+            assert!(err.to_string().contains("shapes disagree"), "{err}");
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Runtime-dispatched SIMD inference kernels.
+//! Runtime-dispatched SIMD kernels for inference and training.
 //!
 //! Every dense inner loop on the serving path — the MLP's hidden→hidden and
 //! hidden→output GEMV rows, the SVM's match-count kernel evaluations, the
 //! logreg one-hot gather-sum, and the quantized i8/f16 variants — funnels
-//! through this module. Dispatch is decided **once per process**: the first
-//! call probes the CPU with `is_x86_feature_detected!` and caches a
-//! [`Backend`] in a `OnceLock`, so the per-call cost is one predictable
-//! branch on an enum.
+//! through this module. Training shares the same kernels (the MLP's forward
+//! pass, the SVM match matrix) and adds two elementwise updates for the
+//! MLP's backward pass, [`axpy_f32`] and [`add_f32`].
+//!
+//! Dispatch is decided **once per process**: the first call probes the CPU
+//! with `is_x86_feature_detected!` and caches a [`Backend`] in a
+//! `OnceLock`, so the per-call cost is one predictable branch on an enum.
 //!
 //! Three tiers:
 //!
@@ -18,8 +21,9 @@
 //! - **Scalar** — the bit-exact reference. Its accumulation order is the
 //!   *definition* of every kernel's result: the f32/f64 SIMD tiers may
 //!   re-associate sums (tolerance-tested, ≤1e-5 relative), while the
-//!   integer kernels ([`dot_i8`], [`match_count_u32`]) are exact in every
-//!   tier and therefore backend-independent bit-for-bit.
+//!   integer kernels ([`dot_i8`], [`match_count_u32`]) and the elementwise
+//!   updates ([`axpy_f32`], [`add_f32`]) are exact in every tier and
+//!   therefore backend-independent bit-for-bit.
 //!
 //! Setting the environment variable `HAMLET_FORCE_SCALAR` (to anything but
 //! `""` or `"0"`) before the first inference pins the process to the scalar
@@ -169,6 +173,37 @@ pub fn relu_f32(z: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Elementwise `y[i] += a · x[i]`: a multiply, then an add (never a fused
+/// multiply-add), so every tier rounds exactly like the scalar loop and
+/// agrees bit-for-bit.
+#[inline]
+pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
+    debug_assert_eq!(x.len(), y.len());
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: dispatch reaches these arms only after CPUID detection.
+        Backend::Avx2 => unsafe { x86::axpy_f32_avx2(a, x, y) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { x86::axpy_f32_sse2(a, x, y) },
+        _ => scalar::axpy_f32(a, x, y),
+    }
+}
+
+/// Elementwise `y[i] += x[i]`. One rounding per element, so every tier
+/// agrees bit-for-bit.
+#[inline]
+pub fn add_f32(x: &[f32], y: &mut [f32]) {
+    debug_assert_eq!(x.len(), y.len());
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: dispatch reaches these arms only after CPUID detection.
+        Backend::Avx2 => unsafe { x86::add_f32_avx2(x, y) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { x86::add_f32_sse2(x, y) },
+        _ => scalar::add_f32(x, y),
+    }
+}
+
 /// Dequantize-on-the-fly dot product over f16 weights and f32 activations:
 /// `init + Σ f32(a[i])·b[i]`. Uses F16C hardware conversion when the CPU
 /// has it; otherwise software-converts per element.
@@ -276,6 +311,22 @@ pub mod scalar {
     pub fn relu_f32(z: &[f32], out: &mut [f32]) {
         for (o, &v) in out.iter_mut().zip(z) {
             *o = v.max(0.0);
+        }
+    }
+
+    /// See [`super::axpy_f32`].
+    #[inline]
+    pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
+        for (v, &xi) in y.iter_mut().zip(x) {
+            *v += a * xi;
+        }
+    }
+
+    /// See [`super::add_f32`].
+    #[inline]
+    pub fn add_f32(x: &[f32], y: &mut [f32]) {
+        for (v, &xi) in y.iter_mut().zip(x) {
+            *v += xi;
         }
     }
 
@@ -675,6 +726,88 @@ pub mod x86 {
         }
     }
 
+    /// AVX2 [`super::axpy_f32`]: `vmulps` then `vaddps`, 8 lanes a step.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn axpy_f32_avx2(a: f32, x: &[f32], y: &mut [f32]) {
+        let n = x.len().min(y.len());
+        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
+        let va = _mm256_set1_ps(a);
+        let mut i = 0;
+        while i + 8 <= n {
+            let prod = _mm256_mul_ps(va, _mm256_loadu_ps(px.add(i)));
+            _mm256_storeu_ps(py.add(i), _mm256_add_ps(_mm256_loadu_ps(py.add(i)), prod));
+            i += 8;
+        }
+        while i < n {
+            y[i] += a * x[i];
+            i += 1;
+        }
+    }
+
+    /// SSE2 [`super::axpy_f32`]: `mulps` then `addps`, 4 lanes a step.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn axpy_f32_sse2(a: f32, x: &[f32], y: &mut [f32]) {
+        let n = x.len().min(y.len());
+        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
+        let va = _mm_set1_ps(a);
+        let mut i = 0;
+        while i + 4 <= n {
+            let prod = _mm_mul_ps(va, _mm_loadu_ps(px.add(i)));
+            _mm_storeu_ps(py.add(i), _mm_add_ps(_mm_loadu_ps(py.add(i)), prod));
+            i += 4;
+        }
+        while i < n {
+            y[i] += a * x[i];
+            i += 1;
+        }
+    }
+
+    /// AVX2 [`super::add_f32`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn add_f32_avx2(x: &[f32], y: &mut [f32]) {
+        let n = x.len().min(y.len());
+        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
+        let mut i = 0;
+        while i + 8 <= n {
+            let sum = _mm256_add_ps(_mm256_loadu_ps(py.add(i)), _mm256_loadu_ps(px.add(i)));
+            _mm256_storeu_ps(py.add(i), sum);
+            i += 8;
+        }
+        while i < n {
+            y[i] += x[i];
+            i += 1;
+        }
+    }
+
+    /// SSE2 [`super::add_f32`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn add_f32_sse2(x: &[f32], y: &mut [f32]) {
+        let n = x.len().min(y.len());
+        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
+        let mut i = 0;
+        while i + 4 <= n {
+            let sum = _mm_add_ps(_mm_loadu_ps(py.add(i)), _mm_loadu_ps(px.add(i)));
+            _mm_storeu_ps(py.add(i), sum);
+            i += 4;
+        }
+        while i < n {
+            y[i] += x[i];
+            i += 1;
+        }
+    }
+
     /// AVX2 + F16C [`super::dot_f16_f32`]: hardware `vcvtph2ps` widens 8
     /// halves per step, then the usual multiply-accumulate.
     ///
@@ -921,6 +1054,97 @@ mod tests {
             let mut got = vec![7f32; n];
             unsafe { x86::relu_f32_sse2(&zs, &mut got) };
             assert_eq!(got, want_r, "sse2 relu n={n}");
+        }
+    }
+
+    /// `n` values cycling through signed zeros, the one NaN payload
+    /// `f32::NAN`, subnormals, infinities and ordinary numbers.
+    fn edge_f32s(n: usize, seed: u64) -> Vec<f32> {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::from_bits(1),            // smallest subnormal
+            -f32::from_bits(0x007f_ffff), // largest subnormal, negated
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut v = f32s(n, seed);
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *x = specials[(i / 3 + seed as usize) % specials.len()];
+            }
+        }
+        v
+    }
+
+    /// Bit patterns, with every NaN folded to one: x86 returns the first
+    /// operand's payload when both operands of an add are NaN, and the
+    /// compiler may commute the scalar loop's `y + a·x`, so NaN payloads
+    /// are not a property of the kernel.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    type Axpy = fn(f32, &[f32], &mut [f32]);
+    type Add = fn(&[f32], &mut [f32]);
+
+    /// Every tier this host can run, as `(name, axpy, add)`.
+    fn elementwise_tiers() -> Vec<(&'static str, Axpy, Add)> {
+        let mut tiers: Vec<(&'static str, Axpy, Add)> = vec![("dispatched", axpy_f32, add_f32)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            // Safety (all four closures): each tier is listed only after its
+            // feature check, and SSE2 is the x86-64 baseline.
+            tiers.push((
+                "sse2",
+                |a, x, y| unsafe { x86::axpy_f32_sse2(a, x, y) },
+                |x, y| unsafe { x86::add_f32_sse2(x, y) },
+            ));
+            if is_x86_feature_detected!("avx2") {
+                tiers.push((
+                    "avx2",
+                    |a, x, y| unsafe { x86::axpy_f32_avx2(a, x, y) },
+                    |x, y| unsafe { x86::add_f32_avx2(x, y) },
+                ));
+            }
+        }
+        tiers
+    }
+
+    #[test]
+    fn axpy_and_add_match_the_scalar_loop_bitwise_in_every_tier() {
+        let scales = [1.5f32, -0.0, 0.0, f32::NAN, f32::from_bits(3), 1e30];
+        for n in 0..=17usize {
+            let x = edge_f32s(n, n as u64);
+            let y0 = edge_f32s(n, 100 + n as u64);
+            for (name, axpy, add) in elementwise_tiers() {
+                for &a in &scales {
+                    let mut want = y0.clone();
+                    for (v, &xi) in want.iter_mut().zip(&x) {
+                        *v += a * xi;
+                    }
+                    let mut got = y0.clone();
+                    axpy(a, &x, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{name} axpy a={a} n={n}");
+                }
+                let mut want = y0.clone();
+                for (v, &xi) in want.iter_mut().zip(&x) {
+                    *v += xi;
+                }
+                let mut got = y0.clone();
+                add(&x, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{name} add n={n}");
+            }
         }
     }
 

@@ -175,10 +175,11 @@ fn solve_lambda(
         grad.iter_mut().for_each(|g| *g = 0.0);
         let (loss_z, grad_b) = loss_grad(design, y, &z, zb, &mut grad);
 
-        // Backtracking on the majorisation at the extrapolated point.
+        // Backtracking on the majorisation at the extrapolated point. The
+        // accepted candidate's loss is the new iterate's loss.
         let mut w_new = Vec::with_capacity(dim);
         let mut b_new = zb;
-        let mut accepted = false;
+        let mut accepted = None;
         for _ in 0..30 {
             w_new.clear();
             for i in 0..dim {
@@ -197,17 +198,16 @@ fn solve_lambda(
             quad += db * db;
             lin += grad_b * db;
             if new_loss <= loss_z + lin + quad / (2.0 * step) + 1e-12 {
-                accepted = true;
+                accepted = Some(new_loss);
                 break;
             }
             step *= 0.5;
         }
-        if !accepted {
+        let Some(new_loss) = accepted else {
             break; // step underflow: numerically converged
-        }
+        };
 
         // Objective at the new iterate (for restart + convergence checks).
-        let new_loss = loss_only(design, y, &w_new, b_new);
         let l1: f64 = w_new.iter().map(|v| v.abs()).sum();
         let obj = new_loss + lambda * l1;
 

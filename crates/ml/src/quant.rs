@@ -228,6 +228,30 @@ pub struct QuantSvm {
     pub(crate) sv_rows: PodVec<u32>,
     pub(crate) sv_coef: QTensor64,
     pub(crate) bias: f64,
+    /// `kernel.table(n_features)`, built by `from_parts`; `kernel` and
+    /// `n_features` must not change after it.
+    kernel_table: Vec<f64>,
+}
+
+impl QuantSvm {
+    /// Assembles a quantized SVM; `n_features` is the row width of
+    /// `sv_rows` and below `u16::MAX`.
+    pub(crate) fn from_parts(
+        kernel: KernelKind,
+        n_features: usize,
+        sv_rows: PodVec<u32>,
+        sv_coef: QTensor64,
+        bias: f64,
+    ) -> Self {
+        Self {
+            kernel,
+            n_features,
+            sv_rows,
+            sv_coef,
+            bias,
+            kernel_table: kernel.table(n_features),
+        }
+    }
 }
 
 /// Quantized L1 logistic regression.
@@ -302,13 +326,13 @@ impl QuantModel {
     pub fn from_svm(m: &SvmModel, encoding: QuantEncoding) -> Self {
         QuantModel {
             encoding,
-            payload: QuantPayload::Svm(QuantSvm {
-                kernel: m.kernel,
-                n_features: m.n_features,
-                sv_rows: m.sv_rows.clone(),
-                sv_coef: QTensor64::from_f64(&m.sv_coef, encoding),
-                bias: m.bias,
-            }),
+            payload: QuantPayload::Svm(QuantSvm::from_parts(
+                m.kernel,
+                m.n_features,
+                m.sv_rows.clone(),
+                QTensor64::from_f64(&m.sv_coef, encoding),
+                m.bias,
+            )),
         }
     }
 
@@ -514,14 +538,14 @@ impl QuantMlp {
 
 impl QuantSvm {
     /// Decision value `Σ dequant(αᵢyᵢ) k(xᵢ, x) + b`. Match counts run on
-    /// the exact SIMD kernel; the coefficient dequant + accumulate is a
-    /// fixed scalar sequence (backend-independent).
+    /// the exact SIMD kernel and index the model's kernel table; the
+    /// coefficient dequant + accumulate is a fixed scalar sequence
+    /// (backend-independent).
     fn decision(&self, row: &[u32]) -> f64 {
         let d = self.n_features;
         let mut f = self.bias;
         for (i, sv) in self.sv_rows.chunks_exact(d).enumerate() {
-            let m = match_count(sv, row);
-            f += self.sv_coef.get(i) * self.kernel.from_matches(m, d);
+            f += self.sv_coef.get(i) * self.kernel_table[match_count(sv, row) as usize];
         }
         f
     }

@@ -8,10 +8,13 @@
 //! - dot product  `⟨φ(a), φ(b)⟩ = m`
 //! - squared distance `‖φ(a) − φ(b)‖² = 2(d − m)`
 //!
-//! so every kernel evaluation is an O(d) integer loop plus a scalar map —
-//! no explicit one-hot vectors are ever materialised. This identity is also
-//! the engine of the paper's §5.1 analysis of *why* RBF-SVMs tolerate
-//! NoJoin: matching on FK forces a match on the (implicit) `X_R`.
+//! so every kernel evaluation is an O(d) integer loop plus a lookup — no
+//! explicit one-hot vectors are ever materialised. A kernel takes only the
+//! `d + 1` values `m ∈ 0..=d`, so [`KernelKind::table`] evaluates them once
+//! (one `exp` each for RBF) and training and prediction index that table.
+//! This identity is also the engine of the paper's §5.1 analysis of *why*
+//! RBF-SVMs tolerate NoJoin: matching on FK forces a match on the
+//! (implicit) `X_R`.
 
 use crate::dataset::CatDataset;
 
@@ -48,6 +51,12 @@ impl KernelKind {
             }
         }
     }
+
+    /// Every kernel value between rows with `d` features: entry `m` is
+    /// [`KernelKind::from_matches`]`(m, d)`, for `m ∈ 0..=d`.
+    pub fn table(&self, d: usize) -> Vec<f64> {
+        (0..=d as u32).map(|m| self.from_matches(m, d)).collect()
+    }
 }
 
 /// Number of positions where two rows agree. Routed through the
@@ -62,7 +71,7 @@ pub fn match_count(a: &[u32], b: &[u32]) -> u32 {
 
 /// Precomputed pairwise match counts for a training set. Shared across a
 /// whole (C, γ) grid: the expensive O(n²·d) pass happens once, and each
-/// kernel value is then a scalar map over a `u16`.
+/// kernel value is then a [`KernelKind::table`] lookup by a `u16`.
 #[derive(Debug, Clone)]
 pub struct MatchMatrix {
     n: usize,
@@ -99,10 +108,10 @@ impl MatchMatrix {
         self.data[i * self.n + j] as u32
     }
 
-    /// Kernel value between training rows `i` and `j`.
+    /// Match counts between training row `i` and every training row.
     #[inline]
-    pub fn kernel(&self, kind: KernelKind, i: usize, j: usize) -> f64 {
-        kind.from_matches(self.get(i, j), self.d)
+    pub fn row(&self, i: usize) -> &[u16] {
+        &self.data[i * self.n..(i + 1) * self.n]
     }
 
     /// Number of rows.
@@ -158,6 +167,21 @@ mod tests {
     }
 
     #[test]
+    fn table_holds_every_match_count() {
+        for k in [
+            KernelKind::Linear,
+            KernelKind::Quadratic { gamma: 0.3 },
+            KernelKind::Rbf { gamma: 0.7 },
+        ] {
+            let t = k.table(5);
+            assert_eq!(t.len(), 6);
+            for (m, v) in t.iter().enumerate() {
+                assert_eq!(v.to_bits(), k.from_matches(m as u32, 5).to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn rbf_decreases_with_mismatches() {
         let k = KernelKind::Rbf { gamma: 0.3 };
         let d = 10;
@@ -184,6 +208,7 @@ mod tests {
         assert_eq!(mm.get(0, 1), 2);
         assert_eq!(mm.get(0, 2), 0);
         assert_eq!(mm.get(1, 2), 1);
+        assert_eq!(mm.row(1), &[2, 3, 1]);
     }
 
     #[test]
@@ -191,10 +216,11 @@ mod tests {
         let ds = ds();
         let mm = MatchMatrix::compute(&ds);
         let k = KernelKind::Rbf { gamma: 0.7 };
+        let table = k.table(mm.d());
         for i in 0..3 {
             for j in 0..3 {
                 let direct = k.from_matches(match_count(ds.row(i), ds.row(j)), 3);
-                assert!((mm.kernel(k, i, j) - direct).abs() < 1e-12);
+                assert_eq!(table[mm.get(i, j) as usize].to_bits(), direct.to_bits());
             }
         }
     }

@@ -4,7 +4,10 @@
 //! polynomial and RBF (tuning `C` and `γ`). The dual problem is solved with
 //! a Platt-style SMO: second-choice heuristic on a full error cache,
 //! working over a precomputed match-count matrix so a whole hyper-parameter
-//! grid reuses one O(n²·d) pass.
+//! grid reuses one O(n²·d) pass. Each fit (and each model, for prediction)
+//! evaluates its kernel once per match count `m ∈ 0..=d` into a table, so
+//! the O(n) error-cache update per α-pair is two lookups per row, not two
+//! `exp` calls.
 
 pub mod kernel;
 
@@ -94,9 +97,31 @@ pub struct SvmModel {
     /// `αᵢ yᵢ` per support vector.
     pub(crate) sv_coef: PodVec<f64>,
     pub(crate) bias: f64,
+    /// `kernel.table(n_features)`, built by `from_parts`; `kernel` and
+    /// `n_features` must not change after it.
+    kernel_table: Vec<f64>,
 }
 
 impl SvmModel {
+    /// Assembles a model from its persisted parts. The caller guarantees
+    /// `n_features` is the row width of `sv_rows` and below `u16::MAX`.
+    pub(crate) fn from_parts(
+        kernel: KernelKind,
+        n_features: usize,
+        sv_rows: PodVec<u32>,
+        sv_coef: PodVec<f64>,
+        bias: f64,
+    ) -> Self {
+        Self {
+            kernel,
+            n_features,
+            sv_rows,
+            sv_coef,
+            bias,
+            kernel_table: kernel.table(n_features),
+        }
+    }
+
     /// Fits with a freshly computed match matrix (convenience; grids should
     /// compute [`MatchMatrix`] once and call [`SvmModel::fit_precomputed`]).
     pub fn fit(ds: &CatDataset, params: SvmParams) -> Result<Self> {
@@ -127,13 +152,13 @@ impl SvmModel {
         // Degenerate single-class training data: constant classifier.
         let pos = ds.pos_count();
         if pos == 0 || pos == n {
-            return Ok(Self {
-                kernel: params.kernel,
-                n_features: d,
-                sv_rows: PodVec::new(),
-                sv_coef: PodVec::new(),
-                bias: if pos == n { 1.0 } else { -1.0 },
-            });
+            return Ok(Self::from_parts(
+                params.kernel,
+                d,
+                PodVec::new(),
+                PodVec::new(),
+                if pos == n { 1.0 } else { -1.0 },
+            ));
         }
 
         let mut alpha = vec![0.0f64; n];
@@ -142,7 +167,8 @@ impl SvmModel {
         let mut err: Vec<f64> = y.iter().map(|&v| -v).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
 
-        let kern = |i: usize, j: usize| mm.kernel(params.kernel, i, j);
+        let table = params.kernel.table(mm.d());
+        let kern = |i: usize, j: usize| table[mm.get(i, j) as usize];
         let c = params.c;
         let tol = params.tol;
         let mut passes = 0usize;
@@ -227,9 +253,11 @@ impl SvmModel {
                 alpha[i] = a_i;
                 alpha[j] = a_j;
                 bias = new_b;
-                // Incremental error-cache maintenance: O(n).
-                for (k, e) in err.iter_mut().enumerate() {
-                    *e += y[i] * d_i * kern(i, k) + y[j] * d_j * kern(j, k) + d_b;
+                // Incremental error-cache maintenance: O(n). The products
+                // keep their left-to-right order: (yᵢ·dᵢ)·k(i, k).
+                let (yd_i, yd_j) = (y[i] * d_i, y[j] * d_j);
+                for ((e, &m_i), &m_j) in err.iter_mut().zip(mm.row(i)).zip(mm.row(j)) {
+                    *e += yd_i * table[m_i as usize] + yd_j * table[m_j as usize] + d_b;
                 }
                 changed += 1;
                 updates += 1;
@@ -250,13 +278,13 @@ impl SvmModel {
                 sv_coef.push(alpha[i] * y[i]);
             }
         }
-        Ok(Self {
-            kernel: params.kernel,
-            n_features: d,
-            sv_rows: sv_rows.into(),
-            sv_coef: sv_coef.into(),
+        Ok(Self::from_parts(
+            params.kernel,
+            d,
+            sv_rows.into(),
+            sv_coef.into(),
             bias,
-        })
+        ))
     }
 
     /// Decision value `f(x) = Σ αᵢ yᵢ k(xᵢ, x) + b`.
@@ -264,8 +292,7 @@ impl SvmModel {
         let d = self.n_features;
         let mut f = self.bias;
         for (coef, sv) in self.sv_coef.iter().zip(self.sv_rows.chunks_exact(d)) {
-            let m = match_count(sv, row);
-            f += coef * self.kernel.from_matches(m, d);
+            f += coef * self.kernel_table[match_count(sv, row) as usize];
         }
         f
     }
@@ -273,6 +300,11 @@ impl SvmModel {
     /// Number of support vectors retained.
     pub fn n_support(&self) -> usize {
         self.sv_coef.len()
+    }
+
+    /// Support-vector rows, flattened `n_support × d` in coefficient order.
+    pub fn support_vectors(&self) -> &[u32] {
+        &self.sv_rows
     }
 
     /// Dual coefficients `αᵢ yᵢ` per support vector (KKT checks need them:

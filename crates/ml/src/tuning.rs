@@ -2,8 +2,13 @@
 //!
 //! Every model in the paper is tuned by exhaustive grid search on the 25 %
 //! validation split (§3.2). The search is embarrassingly parallel across
-//! grid cells; determinism is preserved by resolving ties toward the lowest
-//! grid index regardless of thread scheduling.
+//! grid cells, but cells are far from equal in cost (an SVM's large-`C`
+//! cells run many times longer than its small-`C` ones), so the workers
+//! share one atomic cursor and each takes the next unclaimed cell when it
+//! finishes its last. Determinism is preserved by resolving ties toward the
+//! lowest grid index regardless of which thread fitted which cell.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::dataset::CatDataset;
 use crate::error::{MlError, Result};
@@ -44,19 +49,25 @@ where
         .min(grid.len());
 
     type CellResult<M> = (usize, f64, M);
-    let chunk = grid.len().div_ceil(threads);
+    let next = AtomicUsize::new(0);
     let results: Vec<Result<Vec<CellResult<M>>>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
-        for (t, cells) in grid.chunks(chunk).enumerate() {
-            let fit = &fit;
+        for _ in 0..threads {
+            let (fit, next) = (&fit, &next);
             handles.push(scope.spawn(move || {
-                let mut out = Vec::with_capacity(cells.len());
-                for (k, p) in cells.iter().enumerate() {
+                let mut out = Vec::new();
+                loop {
+                    // The atomic add alone hands each index to exactly one
+                    // worker; results travel back through `join`, so no
+                    // stronger ordering is needed.
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(p) = grid.get(idx) else {
+                        return Ok(out);
+                    };
                     let model = fit(p, train)?;
                     let acc = model.accuracy(val);
-                    out.push((t * chunk + k, acc, model));
+                    out.push((idx, acc, model));
                 }
-                Ok(out)
             }));
         }
         handles
@@ -149,6 +160,32 @@ mod tests {
         let ds = xor();
         let grid: Vec<TreeParams> = vec![];
         assert!(grid_search(&grid, &ds, &ds, |p, t| DecisionTree::fit(t, *p)).is_err());
+    }
+
+    #[test]
+    fn slow_low_cells_are_each_fit_once_and_still_win_ties() {
+        use crate::model::MajorityClass;
+        use std::time::Duration;
+
+        let ds = xor(); // 9 of 20 positive: `false` scores 0.55, `true` 0.45
+        let len = 12;
+        let grid: Vec<usize> = (0..len).collect();
+        let fits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+        let out = grid_search(&grid, &ds, &ds, |&idx, _| {
+            // Low indices are the slowest, so they finish last.
+            std::thread::sleep(Duration::from_millis((len - idx) as u64));
+            fits[idx].fetch_add(1, Ordering::Relaxed);
+            Ok(MajorityClass {
+                positive: idx % 2 == 0,
+            })
+        })
+        .unwrap();
+        assert!(fits.iter().all(|f| f.load(Ordering::Relaxed) == 1));
+        let order: Vec<usize> = out.evals.iter().map(|&(idx, _)| idx).collect();
+        assert_eq!(order, grid);
+        // Every odd cell ties at 0.55; the lowest index wins.
+        assert_eq!(out.params, 1);
+        assert!((out.val_accuracy - 0.55).abs() < 1e-12);
     }
 
     #[test]

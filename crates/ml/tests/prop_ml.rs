@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use hamlet_ml::prelude::*;
+use hamlet_ml::svm::match_count;
 
 /// A random dataset whose labels are a *deterministic function of the row*
 /// (XOR of parity bits), so no two identical rows disagree — the condition
@@ -103,6 +104,41 @@ proptest! {
         for i in 0..ds.n_rows() {
             let row = ds.row(i);
             prop_assert_eq!(model.predict_row(row), model.decision(row) >= 0.0);
+        }
+    }
+
+    #[test]
+    fn svm_decision_is_the_kernel_expansion_bit_for_bit(
+        ds in any_dataset(),
+        kind in 0usize..3,
+        gamma in 0.01f64..5.0,
+        c in 0.1f64..100.0,
+        probe_seed in 0u64..1_000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let kernel = [
+            KernelKind::Linear,
+            KernelKind::Quadratic { gamma },
+            KernelKind::Rbf { gamma },
+        ][kind];
+        let model = SvmModel::fit(&ds, SvmParams::new(kernel, c)).unwrap();
+        let d = ds.n_features();
+        let k = ds.feature(0).cardinality;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
+        let probes: Vec<Vec<u32>> = (0..ds.n_rows())
+            .map(|i| ds.row(i).to_vec())
+            .chain((0..8).map(|_| (0..d).map(|_| rng.gen_range(0..k)).collect()))
+            .collect();
+        for row in &probes {
+            let mut want = model.bias();
+            for (coef, sv) in model
+                .sv_coefficients()
+                .iter()
+                .zip(model.support_vectors().chunks_exact(d))
+            {
+                want += coef * kernel.from_matches(match_count(sv, row), d);
+            }
+            prop_assert_eq!(model.decision(row).to_bits(), want.to_bits());
         }
     }
 

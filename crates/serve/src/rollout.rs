@@ -206,15 +206,23 @@ struct ObserveBuffer {
     file_bytes: u64,
 }
 
+/// One name's buffer behind its own lock; `None` until first touch loads
+/// the file (or after a load failed, so the next touch retries).
+type ObserveSlot = Arc<Mutex<Option<ObserveBuffer>>>;
+
 /// Bounded in-memory + crash-safe on-disk buffer of labeled rows, one
 /// file per model name under `<artifact-dir>/observe/`, framed with the
 /// event log's `[len][crc32][payload]` record format. On open, a torn
 /// tail (crash mid-append) is truncated away exactly like the event log's
 /// recovery path; complete records are never lost.
+///
+/// The store-wide map lock is held only to find or insert a name's slot;
+/// loading, appending, the fsync and compaction run under that name's own
+/// lock, so one model's fsync never stalls `/v1/observe` for another.
 pub struct ObserveStore {
     dir: PathBuf,
     cap_rows: usize,
-    inner: Mutex<HashMap<String, ObserveBuffer>>,
+    inner: Mutex<HashMap<String, ObserveSlot>>,
     total_rows: AtomicU64,
 }
 
@@ -307,15 +315,35 @@ impl ObserveStore {
         })
     }
 
+    /// The slot for `name`, inserted empty on first touch.
+    fn slot(&self, name: &str) -> ObserveSlot {
+        let mut inner = self.inner.lock().expect("observe lock");
+        if let Some(slot) = inner.get(name) {
+            return Arc::clone(slot);
+        }
+        let slot = ObserveSlot::default();
+        inner.insert(name.to_string(), Arc::clone(&slot));
+        slot
+    }
+
+    /// The loaded buffer in a locked slot, loading it on first touch.
+    fn loaded<'a>(
+        &self,
+        name: &str,
+        slot: &'a mut Option<ObserveBuffer>,
+    ) -> Result<&'a mut ObserveBuffer> {
+        if slot.is_none() {
+            *slot = Some(self.load(name)?);
+        }
+        Ok(slot.as_mut().expect("loaded above"))
+    }
+
     /// Appends labeled rows for `name` (ring + durable file, one fsync per
     /// call); returns how many rows are now buffered for the name.
     pub fn append(&self, name: &str, rows: &[ObservedRow]) -> Result<usize> {
-        let mut inner = self.inner.lock().expect("observe lock");
-        if !inner.contains_key(name) {
-            let buf = self.load(name)?;
-            inner.insert(name.to_string(), buf);
-        }
-        let buf = inner.get_mut(name).expect("just inserted");
+        let slot = self.slot(name);
+        let mut guard = slot.lock().expect("observe buffer lock");
+        let buf = self.loaded(name, &mut guard)?;
         let mut framed = Vec::new();
         for row in rows {
             encode_observed(&mut framed, row);
@@ -362,25 +390,30 @@ impl ObserveStore {
     /// A copy of the buffered rows for `name` (loading its file on first
     /// touch; an unreadable or absent buffer reads as empty).
     pub fn snapshot(&self, name: &str) -> Vec<ObservedRow> {
-        let mut inner = self.inner.lock().expect("observe lock");
-        if !inner.contains_key(name) {
-            match self.load(name) {
-                Ok(buf) => {
-                    inner.insert(name.to_string(), buf);
-                }
-                Err(_) => return Vec::new(),
-            }
+        let slot = self.slot(name);
+        let mut guard = slot.lock().expect("observe buffer lock");
+        match self.loaded(name, &mut guard) {
+            Ok(buf) => buf.rows.iter().cloned().collect(),
+            Err(_) => Vec::new(),
         }
-        inner[name].rows.iter().cloned().collect()
     }
 
     /// Names with at least one buffered row (touched this process).
     pub fn names(&self) -> Vec<String> {
-        let inner = self.inner.lock().expect("observe lock");
-        let mut names: Vec<String> = inner
-            .iter()
-            .filter(|(_, b)| !b.rows.is_empty())
-            .map(|(n, _)| n.clone())
+        let slots: Vec<(String, ObserveSlot)> = {
+            let inner = self.inner.lock().expect("observe lock");
+            inner
+                .iter()
+                .map(|(n, slot)| (n.clone(), Arc::clone(slot)))
+                .collect()
+        };
+        let mut names: Vec<String> = slots
+            .into_iter()
+            .filter(|(_, slot)| {
+                let guard = slot.lock().expect("observe buffer lock");
+                guard.as_ref().is_some_and(|b| !b.rows.is_empty())
+            })
+            .map(|(n, _)| n)
             .collect();
         names.sort();
         names
@@ -388,8 +421,11 @@ impl ObserveStore {
 
     /// Rows currently buffered for `name`.
     pub fn buffered(&self, name: &str) -> usize {
-        let inner = self.inner.lock().expect("observe lock");
-        inner.get(name).map_or(0, |b| b.rows.len())
+        let slot = self.inner.lock().expect("observe lock").get(name).cloned();
+        slot.map_or(0, |slot| {
+            let guard = slot.lock().expect("observe buffer lock");
+            guard.as_ref().map_or(0, |b| b.rows.len())
+        })
     }
 
     /// Total rows accepted since boot (including reloaded ones).
@@ -1088,6 +1124,43 @@ mod tests {
         assert_eq!(store.append("m", &rows(2)).unwrap(), 7);
         let store2 = ObserveStore::open(&dir, 64);
         assert_eq!(store2.snapshot("m").len(), 7);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn observe_appends_to_different_names_do_not_share_a_lock() {
+        let dir = temp_dir("lanes");
+        let store = ObserveStore::open(&dir, 1024);
+        store.append("a", &rows(1)).unwrap();
+        // With `a`'s buffer locked (as during its fsync), `b` still appends.
+        let slot_a = store.slot("a");
+        let held = slot_a.lock().unwrap();
+        assert_eq!(store.append("b", &rows(2)).unwrap(), 2);
+        assert_eq!(store.buffered("b"), 2);
+        drop(held);
+
+        // Two writers on two names at once: every frame lands intact.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for name in ["a", "b"] {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..40 {
+                        store.append(name, &rows(3)).unwrap();
+                    }
+                });
+            }
+        });
+        let reloaded = ObserveStore::open(&dir, 1024);
+        let a = reloaded.snapshot("a");
+        let b = reloaded.snapshot("b");
+        assert_eq!(a.len(), 1 + 40 * 3);
+        assert_eq!(b.len(), 2 + 40 * 3);
+        let batches: Vec<ObservedRow> = (0..40).flat_map(|_| rows(3)).collect();
+        assert_eq!(a[1..], batches[..]);
+        assert_eq!(b[2..], batches[..]);
+        assert_eq!(reloaded.names(), ["a", "b"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
