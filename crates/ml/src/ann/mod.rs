@@ -7,10 +7,10 @@
 //! Categorical rows are consumed as *sparse one-hot* vectors: exactly one
 //! active index per feature, so the first layer's forward/backward pass
 //! gathers/scatters `d` columns instead of multiplying a huge dense vector.
-//! Training holds layer 1 transposed (`d_in × h1`), so each active column is
-//! one contiguous `h1`-wide add in both directions; the trained weights are
-//! transposed back into the row-major layout the artifact and prediction
-//! use.
+//! Layer 1 is held column-major (`d_in × h1`) everywhere in memory, so each
+//! active column is one contiguous `h1`-wide add in training and prediction
+//! alike. Only the artifact keeps the row-major `h1 × d_in` layout: the
+//! codec transposes on the way to and from disk.
 
 pub mod adam;
 
@@ -94,7 +94,8 @@ pub struct Mlp {
     pub(crate) d_in: usize,
     pub(crate) h1: usize,
     pub(crate) h2: usize,
-    // Row-major weights: w1 is h1 × d_in, w2 is h2 × h1, w3 is 1 × h2.
+    // w1 is column-major (d_in × h1: input k's weights into every unit are
+    // contiguous); w2 (h2 × h1) and w3 (1 × h2) are row-major.
     pub(crate) w1: PodVec<f32>,
     pub(crate) b1: PodVec<f32>,
     pub(crate) w2: PodVec<f32>,
@@ -131,7 +132,9 @@ impl Mlp {
             d_in,
             h1,
             h2,
-            w1: init(ds.n_features().max(1), h1 * d_in).into(),
+            // Drawn unit-major (the RNG order every model was trained with),
+            // then laid out column-major.
+            w1: transpose(&init(ds.n_features().max(1), h1 * d_in), h1, d_in).into(),
             b1: vec![0.0; h1].into(),
             w2: init(h1, h2 * h1).into(),
             b2: vec![0.0; h2].into(),
@@ -176,7 +179,7 @@ impl Mlp {
     /// weights) and [`Mlp::fit_incremental`] (warm-started weights).
     ///
     /// Every element's arithmetic is the plain sequential loop's: the
-    /// transposed layer 1 only changes the memory layout, the dispatched
+    /// column-major layer 1 only changes the memory layout, the dispatched
     /// elementwise kernels round like scalar code, and adding a zero delta
     /// to a gradient (where a dead unit used to be skipped) leaves it
     /// unchanged because accumulators start at `+0.0` and never become
@@ -185,18 +188,16 @@ impl Mlp {
         let net = self;
         let n = ds.n_rows();
         let (h1, h2) = (net.h1, net.h2);
-        let d_in = net.d_in;
-        let mut w1t = transpose(&net.w1, h1, d_in);
-        let mut opt_w1 = Adam::new(w1t.len(), params.lr);
+        let mut opt_w1 = Adam::new(net.w1.len(), params.lr);
         let mut opt_b1 = Adam::new(h1, params.lr);
         let mut opt_w2 = Adam::new(net.w2.len(), params.lr);
         let mut opt_b2 = Adam::new(h2, params.lr);
         let mut opt_w3 = Adam::new(h2, params.lr);
         let mut opt_b3 = Adam::new(1, params.lr);
 
-        // Gradient accumulators (batch); `g_w1` is transposed like `w1t`.
+        // Gradient accumulators (batch); `g_w1` is column-major like `w1`.
         // Each optimizer step re-zeroes the gradient it consumes.
-        let mut g_w1 = vec![0.0f32; w1t.len()];
+        let mut g_w1 = vec![0.0f32; net.w1.len()];
         let mut g_b1 = vec![0.0f32; h1];
         let mut g_w2 = vec![0.0f32; net.w2.len()];
         let mut g_b2 = vec![0.0f32; h2];
@@ -218,11 +219,7 @@ impl Mlp {
             for batch in order.chunks(params.batch_size) {
                 for &i in batch {
                     net.active_indices(ds.row(i), &mut active);
-                    z1.copy_from_slice(&net.b1);
-                    for &idx in &active {
-                        kernels::add_f32(&w1t[idx * h1..(idx + 1) * h1], &mut z1);
-                    }
-                    let z3 = net.upper_layers(&z1, &mut a1, &mut z2, &mut a2);
+                    let z3 = net.forward(&active, &mut z1, &mut a1, &mut z2, &mut a2);
                     let y = f32::from(u8::from(ds.label(i)));
                     let p = sigmoid(z3);
                     let delta3 = p - y; // dBCE/dz3
@@ -264,7 +261,7 @@ impl Mlp {
 
                 let inv = 1.0 / batch.len() as f32;
                 let l2 = Some(params.l2 as f32);
-                opt_w1.step_fused(&mut w1t, &mut g_w1, inv, l2);
+                opt_w1.step_fused(&mut net.w1, &mut g_w1, inv, l2);
                 opt_b1.step_fused(&mut net.b1, &mut g_b1, inv, None);
                 opt_w2.step_fused(&mut net.w2, &mut g_w2, inv, l2);
                 opt_b2.step_fused(&mut net.b2, &mut g_b2, inv, None);
@@ -274,7 +271,6 @@ impl Mlp {
                 net.b3 = b3[0];
             }
         }
-        net.w1 = transpose(&w1t, d_in, h1).into();
     }
 
     #[inline]
@@ -286,12 +282,18 @@ impl Mlp {
 
     /// Forward pass, filling the work buffers; returns the output logit.
     ///
-    /// The sparse one-hot gather into layer 1 stays scalar (`active` holds
-    /// one index per categorical feature — a handful of adds); the dense
+    /// Layer 1 adds one contiguous `w1` column per active one-hot index
+    /// onto the bias, in feature order, so every unit sums the same values
+    /// in the same order as a per-unit gather would; the dense
     /// hidden→hidden and hidden→output products run on the dispatched
     /// [`kernels`], so a 256×64 paper-shaped network rides AVX2 when the
     /// host has it. Under `HAMLET_FORCE_SCALAR` the kernel reference path
     /// reproduces the historical accumulation order bit-for-bit.
+    ///
+    /// Always inlined: left to the compiler, the dense layers stayed an
+    /// out-of-line call and the serving benchmark's `mlp_batch` p50 rose by
+    /// about a sixth (2-vCPU Xeon, AVX2).
+    #[inline(always)]
     fn forward(
         &self,
         active: &[usize],
@@ -300,29 +302,14 @@ impl Mlp {
         z2: &mut [f32],
         a2: &mut [f32],
     ) -> f32 {
-        let d_in = self.d_in;
-        for (u, z_out) in z1.iter_mut().enumerate().take(self.h1) {
-            let row = &self.w1[u * d_in..(u + 1) * d_in];
-            let mut z = self.b1[u];
-            for &idx in active {
-                z += row[idx];
-            }
-            *z_out = z;
+        let (w1, h1) = (self.w1.as_slice(), self.h1);
+        z1.copy_from_slice(&self.b1);
+        for &idx in active {
+            kernels::add_f32(&w1[idx * h1..(idx + 1) * h1], z1);
         }
-        self.upper_layers(z1, a1, z2, a2)
-    }
-
-    /// Everything after layer 1's pre-activation `z1`: ReLU, the dense
-    /// hidden→hidden layer, ReLU, and the output logit.
-    ///
-    /// Always inlined: left to the compiler, it stayed an out-of-line call
-    /// and the serving benchmark's `mlp_batch` p50 rose by about a sixth
-    /// (2-vCPU Xeon, AVX2).
-    #[inline(always)]
-    fn upper_layers(&self, z1: &[f32], a1: &mut [f32], z2: &mut [f32], a2: &mut [f32]) -> f32 {
         kernels::relu_f32(z1, a1);
         for (u, z_out) in z2.iter_mut().enumerate().take(self.h2) {
-            let row = &self.w2[u * self.h1..(u + 1) * self.h1];
+            let row = &self.w2[u * h1..(u + 1) * h1];
             *z_out = kernels::dot_f32(self.b2[u], row, a1);
         }
         kernels::relu_f32(z2, a2);
@@ -372,7 +359,7 @@ pub struct MlpScratch {
 }
 
 /// Transposes a row-major `rows × cols` matrix.
-fn transpose(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+pub(crate) fn transpose(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     debug_assert_eq!(m.len(), rows * cols);
     let mut t = vec![0.0f32; m.len()];
     for (r, row) in m.chunks_exact(cols.max(1)).enumerate() {

@@ -17,7 +17,7 @@ use crate::knn::OneNearestNeighbor;
 use crate::logreg::LogRegL1;
 use crate::model::{Classifier, MajorityClass};
 use crate::naive_bayes::NaiveBayes;
-use crate::quant::{QuantEncoding, QuantModel};
+use crate::quant::{QuantEncoding, QuantModel, QuantPayload};
 use crate::svm::SvmModel;
 use crate::tree::DecisionTree;
 
@@ -318,28 +318,52 @@ impl AnyClassifier {
 
     /// Checks this model can consume rows shaped by `contract`: subset
     /// projections must index inside the contract's width, recursively
-    /// (each projection narrows the width its inner model sees). Base
-    /// models take whatever width they were trained on; the contract *is*
-    /// that width by construction, so only projection indices can go stale.
+    /// (each projection narrows the features its inner model sees), and a
+    /// one-hot model (MLP, logreg, quantized or not) needs one offset per
+    /// feature (plus the trailing total) with room for that feature's whole
+    /// domain below its input width. A decoded artifact can break either;
+    /// without this check it would load and then panic at predict time.
     pub fn check_contract(&self, contract: &FeatureContract) -> Result<()> {
-        self.check_width(contract.width())
+        let cards: Vec<u32> = contract.features().iter().map(|f| f.cardinality).collect();
+        self.check_cards(&cards)
     }
 
-    fn check_width(&self, width: usize) -> Result<()> {
-        match self {
+    fn check_cards(&self, cards: &[u32]) -> Result<()> {
+        let (offsets, d_in) = match self {
             AnyClassifier::Subset(s) => {
-                if let Some(&bad) = s.keep.iter().find(|&&j| j >= width) {
+                if let Some(&bad) = s.keep.iter().find(|&&j| j >= cards.len()) {
                     return Err(MlError::Invalid(format!(
-                        "subset model projects feature {bad} but its input has only {width} features"
+                        "subset model projects feature {bad} but its input has only {} features",
+                        cards.len()
                     )));
                 }
-                s.inner.check_width(s.keep.len())
+                let inner: Vec<u32> = s.keep.iter().map(|&j| cards[j]).collect();
+                return s.inner.check_cards(&inner);
             }
             // Every tier consumes the same full-width rows.
             AnyClassifier::Cascade(c) => {
-                c.tiers.iter().try_for_each(|t| t.model.check_width(width))
+                return c.tiers.iter().try_for_each(|t| t.model.check_cards(cards))
             }
-            _ => Ok(()),
+            AnyClassifier::Mlp(m) => (&m.offsets, m.d_in),
+            AnyClassifier::LogReg(m) => (&m.offsets, m.weights.len()),
+            AnyClassifier::Quantized(q) => match &q.payload {
+                QuantPayload::Mlp(m) => (&m.offsets, m.d_in),
+                QuantPayload::LogReg(m) => (&m.offsets, m.weights.len()),
+                QuantPayload::Svm(_) => return Ok(()),
+            },
+            _ => return Ok(()),
+        };
+        // `onehot_offsets` layout: one start per feature, then the total.
+        let fits = offsets.len() == cards.len() + 1
+            && (offsets.iter().zip(cards))
+                .all(|(&o, &k)| u64::from(o) + u64::from(k) <= d_in as u64);
+        if fits {
+            Ok(())
+        } else {
+            Err(MlError::Invalid(format!(
+                "one-hot offsets of a {d_in}-wide input do not fit {} features",
+                cards.len()
+            )))
         }
     }
 
@@ -722,6 +746,57 @@ mod tests {
         )])
         .unwrap();
         assert!(any.check_contract(&narrow).is_err());
+    }
+
+    /// `fit(None)` is a well-formed one-hot model on `ds()` (two features
+    /// of cardinality 3: offsets `[0, 3, 6]`, input width 6); `fit(Some(o))`
+    /// is the same model with offsets `o`. Each corruption must fail
+    /// `check_contract` for the model and both of its quantized forms.
+    fn assert_offsets_checked(fit: impl Fn(Option<Vec<u32>>) -> AnyClassifier) {
+        let contract = ds().contract();
+        let cases = [
+            (None, true),
+            (Some(vec![0, 3]), false),
+            (Some(vec![0, 3, 6, 9]), false),
+            (Some(vec![0, 4, 6]), false),
+        ];
+        for (offsets, ok) in cases {
+            let model = fit(offsets.clone());
+            let quantized =
+                [QuantEncoding::I8, QuantEncoding::F16].map(|e| model.quantize(e).unwrap());
+            for m in std::iter::once(model).chain(quantized) {
+                let res = m.check_contract(&contract);
+                assert_eq!(res.is_ok(), ok, "{} {offsets:?}: {res:?}", m.family());
+            }
+        }
+    }
+
+    #[test]
+    fn check_contract_rejects_mlp_offsets_that_do_not_fit() {
+        let base = Mlp::fit(&ds(), crate::ann::AnnParams::small(1e-4, 0.01)).unwrap();
+        assert_offsets_checked(|offsets| {
+            let mut m = base.clone();
+            if let Some(o) = offsets {
+                m.offsets = o.into();
+            }
+            m.into()
+        });
+    }
+
+    #[test]
+    fn check_contract_rejects_logreg_offsets_that_do_not_fit() {
+        let params = crate::logreg::LogRegParams {
+            max_iter: 25,
+            ..Default::default()
+        };
+        let base = LogRegL1::fit_single(&ds(), 1e-3, params).unwrap();
+        assert_offsets_checked(|offsets| {
+            let mut m = base.clone();
+            if let Some(o) = offsets {
+                m.offsets = o.into();
+            }
+            m.into()
+        });
     }
 
     #[test]

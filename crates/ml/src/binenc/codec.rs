@@ -89,7 +89,8 @@ fn encode_mlp(w: &mut BinWriter, m: &Mlp) {
     w.put_usize(m.h2);
     w.put_f32(m.b3);
     w.put_pod_slice(&m.offsets);
-    w.put_pod_slice(&m.w1);
+    // On disk w1 stays row-major (h1 × d_in), the layout every v3 file has.
+    w.put_pod_slice(&crate::ann::transpose(&m.w1, m.d_in, m.h1));
     w.put_pod_slice(&m.b1);
     w.put_pod_slice(&m.w2);
     w.put_pod_slice(&m.b2);
@@ -130,7 +131,9 @@ fn decode_mlp(r: &mut BinReader) -> Result<Mlp> {
     {
         return Err(bad("MLP layer shapes disagree"));
     }
-    Ok(m)
+    // Column-major in memory: only this owned transpose is kept, even on mmap.
+    let w1 = crate::ann::transpose(&m.w1, m.h1, m.d_in).into();
+    Ok(Mlp { w1, ..m })
 }
 
 fn encode_svm(w: &mut BinWriter, m: &SvmModel) {
@@ -472,7 +475,8 @@ fn decode_cascade(r: &mut BinReader) -> Result<CascadeModel> {
 impl AnyClassifier {
     /// Whether any of this model's weight arrays currently borrow a mapped
     /// artifact file (true only after an mmap load; a heap load or a
-    /// freshly trained model is fully resident).
+    /// freshly trained model is fully resident). An MLP's `w1` is always
+    /// owned (decode transposes it into memory), so its answer is `w2`'s.
     pub fn payload_mapped(&self) -> bool {
         match self {
             AnyClassifier::Majority(_) => false,
@@ -480,7 +484,7 @@ impl AnyClassifier {
             AnyClassifier::Tree(_) => false,
             AnyClassifier::Knn(m) => m.rows.is_mapped(),
             AnyClassifier::Svm(m) => m.sv_rows.is_mapped() || m.sv_coef.is_mapped(),
-            AnyClassifier::Mlp(m) => m.w1.is_mapped() || m.w2.is_mapped(),
+            AnyClassifier::Mlp(m) => m.w2.is_mapped(),
             AnyClassifier::NaiveBayes(m) => {
                 m.cardinalities.is_mapped() || m.tables.iter().any(|t| t.is_mapped())
             }
@@ -744,6 +748,67 @@ mod tests {
             let err = decode(width).unwrap_err();
             assert!(err.to_string().contains("shapes disagree"), "{err}");
         }
+    }
+
+    #[test]
+    fn mlp_w1_is_row_major_on_disk_and_decodes_identically_from_heap_and_mmap() {
+        use crate::ann::AnnParams;
+        use crate::binenc::{BytesSource, MmapFile};
+        let data = ds(31);
+        let mlp = Mlp::fit(&data, AnnParams::small(1e-4, 0.01)).unwrap();
+        let (d_in, h1) = (mlp.d_in, mlp.h1);
+        let model = AnyClassifier::from(mlp.clone());
+        let mut w = BinWriter::new();
+        model.encode_bin(&mut w);
+        let bytes = w.finish();
+
+        // The stored w1 is h1 × d_in: element [u][k] is in-memory [k][u].
+        let mut r = BinReader::over_heap(bytes.clone());
+        assert_eq!(r.read_u8().unwrap(), 4, "MLP family tag");
+        assert_eq!(
+            [r.read_usize().unwrap(), r.read_usize().unwrap()],
+            [d_in, h1]
+        );
+        r.read_usize().unwrap();
+        r.read_f32().unwrap();
+        r.read_pod_vec::<u32>().unwrap();
+        let disk = r.read_pod_vec::<f32>().unwrap();
+        assert_eq!(disk.len(), h1 * d_in);
+        for u in 0..h1 {
+            for k in 0..d_in {
+                assert_eq!(disk[u * d_in + k].to_bits(), mlp.w1[k * h1 + u].to_bits());
+            }
+        }
+
+        // Decode → encode is byte-identical.
+        let heap = AnyClassifier::decode_bin(&mut BinReader::over_heap(bytes.clone())).unwrap();
+        let mut again = BinWriter::new();
+        heap.encode_bin(&mut again);
+        assert_eq!(again.finish(), bytes);
+
+        // An mmap decode owns w1 but borrows the rest, and gives the heap
+        // decode's logits bit for bit.
+        let dir = std::env::temp_dir().join(format!("hamlet-codec-mlp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mlp.bin");
+        std::fs::write(&path, &bytes).unwrap();
+        let map = MmapFile::open(&path).unwrap();
+        let len = map.len();
+        let mut r = BinReader::over(BytesSource::Mapped(map), 0, len).unwrap();
+        let mapped = AnyClassifier::decode_bin(&mut r).unwrap();
+        let AnyClassifier::Mlp(m) = &mapped else {
+            panic!("decoded family {}", mapped.family());
+        };
+        assert!(!m.w1.is_mapped() && mapped.payload_mapped());
+        for i in 0..data.n_rows() {
+            let row = data.row(i);
+            assert_eq!(
+                mapped.decision_value(row).to_bits(),
+                heap.decision_value(row).to_bits()
+            );
+            assert_eq!(m.logit(row).to_bits(), mlp.logit(row).to_bits());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

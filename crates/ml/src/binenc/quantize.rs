@@ -34,16 +34,8 @@ pub struct QuantizedI8 {
 /// always well-defined. Non-finite inputs are clamped through `round`'s
 /// saturation into ±127.
 pub fn quantize_i8(values: &[f32]) -> QuantizedI8 {
-    let max_abs = values.iter().fold(0f32, |m, v| m.max(v.abs()));
-    let scale = if max_abs > 0.0 && max_abs.is_finite() {
-        max_abs / 127.0
-    } else {
-        1.0
-    };
-    let data = values
-        .iter()
-        .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
+    let mut data = Vec::with_capacity(values.len());
+    let scale = quantize_activations_i8(values, &mut data);
     QuantizedI8 { data, scale }
 }
 

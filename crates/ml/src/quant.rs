@@ -20,7 +20,7 @@ use crate::binenc::quantize::{
     quantize_activations_i8, quantize_f16, quantize_f16_f64, quantize_i8, quantize_i8_f64,
 };
 use crate::binenc::{PodVec, F16};
-use crate::error::{MlError, Result};
+use crate::error::MlError;
 use crate::kernels;
 use crate::logreg::LogRegL1;
 use crate::model::Classifier;
@@ -312,7 +312,8 @@ impl QuantModel {
                 d_in: m.d_in,
                 h1: m.h1,
                 h2: m.h2,
-                w1: QTensor::from_f32(&m.w1, encoding),
+                // QuantMlp's layer 1 reads row-major w1 (h1 × d_in).
+                w1: QTensor::from_f32(&crate::ann::transpose(&m.w1, m.d_in, m.h1), encoding),
                 b1: m.b1.clone(),
                 w2: QTensor::from_f32(&m.w2, encoding),
                 b2: m.b2.clone(),
@@ -580,14 +581,6 @@ pub(crate) fn unsupported(family: &str) -> MlError {
         "family `{family}` has no dense weight tensors to quantize \
          (supported: mlp, svm, logreg)"
     ))
-}
-
-/// Convenience: quantize any supported base model.
-pub fn quantize_classifier(
-    model: &crate::any::AnyClassifier,
-    encoding: QuantEncoding,
-) -> Result<crate::any::AnyClassifier> {
-    model.quantize(encoding)
 }
 
 #[cfg(test)]

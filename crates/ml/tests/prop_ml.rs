@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use hamlet_ml::kernels;
 use hamlet_ml::prelude::*;
 use hamlet_ml::svm::match_count;
 
@@ -41,8 +42,112 @@ fn any_dataset() -> impl Strategy<Value = CatDataset> {
     })
 }
 
+/// A test-local MLP forward over the row-major layout the v3 payload stores
+/// (`w1` is `h1 × d_in`): layer 1 gathers each unit's active weights with a
+/// strided read, then the same kernels as serving run the dense layers.
+struct RowMajorMlp {
+    offsets: Vec<u32>,
+    d_in: usize,
+    h1: usize,
+    h2: usize,
+    w1: Vec<f32>,
+    b1: Vec<f32>,
+    w2: Vec<f32>,
+    b2: Vec<f32>,
+    w3: Vec<f32>,
+    b3: f32,
+}
+
+impl RowMajorMlp {
+    /// Reads the weights back out of the model's binary encoding.
+    fn from_encoding(mlp: &Mlp) -> Self {
+        let mut w = BinWriter::new();
+        AnyClassifier::from(mlp.clone()).encode_bin(&mut w);
+        let mut r = BinReader::over_heap(w.finish());
+        assert_eq!(r.read_u8().unwrap(), 4, "MLP family tag");
+        let d_in = r.read_usize().unwrap();
+        let h1 = r.read_usize().unwrap();
+        let h2 = r.read_usize().unwrap();
+        let b3 = r.read_f32().unwrap();
+        let offsets = r.read_pod_vec::<u32>().unwrap().to_vec();
+        let mut f32s = || r.read_pod_vec::<f32>().unwrap().to_vec();
+        let (w1, b1, w2, b2, w3) = (f32s(), f32s(), f32s(), f32s(), f32s());
+        RowMajorMlp {
+            offsets,
+            d_in,
+            h1,
+            h2,
+            w1,
+            b1,
+            w2,
+            b2,
+            w3,
+            b3,
+        }
+    }
+
+    fn logit(&self, row: &[u32]) -> f32 {
+        let active: Vec<usize> = row
+            .iter()
+            .zip(&self.offsets)
+            .map(|(&code, &o)| (o + code) as usize)
+            .collect();
+        let z1: Vec<f32> = (0..self.h1)
+            .map(|u| {
+                let w = &self.w1[u * self.d_in..(u + 1) * self.d_in];
+                active.iter().fold(self.b1[u], |z, &k| z + w[k])
+            })
+            .collect();
+        let mut a1 = vec![0.0; self.h1];
+        kernels::relu_f32(&z1, &mut a1);
+        let z2: Vec<f32> = (0..self.h2)
+            .map(|u| kernels::dot_f32(self.b2[u], &self.w2[u * self.h1..(u + 1) * self.h1], &a1))
+            .collect();
+        let mut a2 = vec![0.0; self.h2];
+        kernels::relu_f32(&z2, &mut a2);
+        kernels::dot_f32(self.b3, &self.w3, &a2)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn mlp_logits_match_a_row_major_reference_bit_for_bit(
+        cards in proptest::collection::vec(1u32..7, 1..6),
+        h1 in 1usize..48,
+        h2 in 1usize..24,
+        n in 2usize..40,
+        seed in 0u64..1_000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let features: Vec<FeatureMeta> = cards
+            .iter()
+            .enumerate()
+            .map(|(j, &k)| FeatureMeta::new(format!("f{j}"), k, Provenance::Home))
+            .collect();
+        let mut random_row = || -> Vec<u32> { cards.iter().map(|&k| rng.gen_range(0..k)).collect() };
+        let rows: Vec<u32> = (0..n).flat_map(|_| random_row()).collect();
+        let labels: Vec<bool> = (0..n).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
+        let ds = CatDataset::new(features, rows, labels).unwrap();
+        let params = AnnParams { hidden1: h1, hidden2: h2, epochs: 3, seed, ..AnnParams::small(1e-3, 0.05) };
+        let mlp = Mlp::fit(&ds, params).unwrap();
+        let reference = RowMajorMlp::from_encoding(&mlp);
+        let any = AnyClassifier::from(mlp.clone());
+        let probes: Vec<Vec<u32>> = (0..n)
+            .map(|i| ds.row(i).to_vec())
+            .chain((0..8).map(|_| random_row()))
+            .collect();
+        let flat: Vec<u32> = probes.concat();
+        let labels = any.predict_batch(&flat, cards.len());
+        for (row, label) in probes.iter().zip(labels) {
+            let want = reference.logit(row);
+            prop_assert_eq!(mlp.logit(row).to_bits(), want.to_bits());
+            prop_assert_eq!(any.decision_value(row).to_bits(), f64::from(want).to_bits());
+            prop_assert_eq!(label, want >= 0.0);
+        }
+    }
 
     #[test]
     fn unpruned_tree_at_least_matches_majority_and_fits_consistent_data(
