@@ -5,7 +5,8 @@
 //! logreg one-hot gather-sum, and the quantized i8/f16 variants — funnels
 //! through this module. Training shares the same kernels (the MLP's forward
 //! pass, the SVM match matrix) and adds two elementwise updates for the
-//! MLP's backward pass, [`axpy_f32`] and [`add_f32`].
+//! MLP's backward pass, [`axpy_f32`] and [`add_f32`], and SMO's partner
+//! search, [`argmax_gap_f64`].
 //!
 //! Dispatch is decided **once per process**: the first call probes the CPU
 //! with `is_x86_feature_detected!` and caches a [`Backend`] in a
@@ -21,9 +22,10 @@
 //! - **Scalar** — the bit-exact reference. Its accumulation order is the
 //!   *definition* of every kernel's result: the f32/f64 SIMD tiers may
 //!   re-associate sums (tolerance-tested, ≤1e-5 relative), while the
-//!   integer kernels ([`dot_i8`], [`match_count_u32`]) and the elementwise
-//!   updates ([`axpy_f32`], [`add_f32`]) are exact in every tier and
-//!   therefore backend-independent bit-for-bit.
+//!   integer kernels ([`dot_i8`], [`match_count_u32`]), the elementwise
+//!   updates ([`axpy_f32`], [`add_f32`]) and the partner search
+//!   ([`argmax_gap_f64`]) are exact in every tier and therefore
+//!   backend-independent bit-for-bit.
 //!
 //! Setting the environment variable `HAMLET_FORCE_SCALAR` (to anything but
 //! `""` or `"0"`) before the first inference pins the process to the scalar
@@ -155,6 +157,24 @@ pub fn match_count_u32(a: &[u32], b: &[u32]) -> u32 {
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => unsafe { x86::match_count_sse2(a, b) },
         _ => scalar::match_count_u32(a, b),
+    }
+}
+
+/// SMO's second-choice partner search: the index `j ≠ skip` maximising
+/// `|e − values[j]|`, the lowest such `j` on ties, and `usize::MAX` when no
+/// candidate has a non-NaN gap (`values` empty, only `skip`, or every gap
+/// NaN). Subtract, absolute value and the strict `>` compare round the same
+/// way per element in every tier, and the SIMD lanes reduce as "largest
+/// gap, lowest index", so every tier returns the sequential loop's `j`.
+#[inline]
+pub fn argmax_gap_f64(e: f64, values: &[f64], skip: usize) -> usize {
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: dispatch reaches these arms only after CPUID detection.
+        Backend::Avx2 => unsafe { x86::argmax_gap_avx2(e, values, skip) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { x86::argmax_gap_sse2(e, values, skip) },
+        _ => scalar::argmax_gap_f64(e, values, skip),
     }
 }
 
@@ -304,6 +324,30 @@ pub mod scalar {
     #[inline]
     pub fn match_count_u32(a: &[u32], b: &[u32]) -> u32 {
         a.iter().zip(b).filter(|(x, y)| x == y).count() as u32
+    }
+
+    /// See [`super::argmax_gap_f64`]. The sequential reference loop.
+    #[inline]
+    pub fn argmax_gap_f64(e: f64, values: &[f64], skip: usize) -> usize {
+        let mut best = (-1.0, usize::MAX);
+        for (j, &v) in values.iter().enumerate() {
+            if j != skip {
+                best = gap_step(best, e, v, j);
+            }
+        }
+        best.1
+    }
+
+    /// One step of the partner search: `(best gap, its index)` after
+    /// candidate `j`. The SIMD tiers run their scalar tails through it.
+    #[inline]
+    pub(super) fn gap_step(best: (f64, usize), e: f64, v: f64, j: usize) -> (f64, usize) {
+        let gap = (e - v).abs();
+        if gap > best.0 {
+            (gap, j)
+        } else {
+            best
+        }
     }
 
     /// See [`super::relu_f32`].
@@ -679,6 +723,149 @@ pub mod x86 {
             i += 1;
         }
         count
+    }
+
+    /// `values` without the element at `skip`: the part before it and the
+    /// part after it (which starts at index `skip + 1`).
+    fn split_skip(values: &[f64], skip: usize) -> (&[f64], &[f64]) {
+        if skip < values.len() {
+            (&values[..skip], &values[skip + 1..])
+        } else {
+            (values, &[])
+        }
+    }
+
+    /// Folds per-lane partner-search winners (`gaps[k]` at local index
+    /// `idx[k]`, `usize::MAX` for a lane with no candidate) into `best`,
+    /// whose index precedes every lane's: largest gap wins, lowest index on
+    /// ties, so the result is the sequential loop's.
+    fn reduce_gap_lanes(
+        gaps: &[f64],
+        idx: &[u64],
+        base: usize,
+        best: (f64, usize),
+    ) -> (f64, usize) {
+        let mut lanes = (-1.0, usize::MAX);
+        for (&g, &k) in gaps.iter().zip(idx) {
+            let k = k as usize;
+            if g > lanes.0 || (g == lanes.0 && k < lanes.1) {
+                lanes = (g, k);
+            }
+        }
+        if lanes.0 > best.0 {
+            (lanes.0, base + lanes.1)
+        } else {
+            best
+        }
+    }
+
+    /// AVX2 [`super::argmax_gap_f64`]: the parts before and after `skip`
+    /// each scan 8 f64 a step in two 4-lane accumulators (two, so the
+    /// compare → blend chains overlap), every lane keeping its own best
+    /// gap and index with a strict `>` compare and a blend.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn argmax_gap_avx2(e: f64, values: &[f64], skip: usize) -> usize {
+        let (head, tail) = split_skip(values, skip);
+        let best = gap_scan_avx2(e, head, 0, (-1.0, usize::MAX));
+        gap_scan_avx2(e, tail, head.len() + 1, best).1
+    }
+
+    /// Continues the partner search from `best` over `v`, whose element
+    /// `k` has index `base + k`. The loads stay inside `v`: a step reads
+    /// `v[i..i + 8]` only while `i + 8 <= v.len()`.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn gap_scan_avx2(e: f64, v: &[f64], base: usize, best: (f64, usize)) -> (f64, usize) {
+        let n = v.len();
+        let mut best = best;
+        let mut i = 0;
+        if n >= 8 {
+            let (ve, sign) = (_mm256_set1_pd(e), _mm256_set1_pd(-0.0));
+            let mut gap_best = [_mm256_set1_pd(-1.0); 2];
+            let mut idx_best = [_mm256_set1_epi64x(-1); 2];
+            let mut idx = [
+                _mm256_setr_epi64x(0, 1, 2, 3),
+                _mm256_setr_epi64x(4, 5, 6, 7),
+            ];
+            let step = _mm256_set1_epi64x(8);
+            while i + 8 <= n {
+                for k in 0..2 {
+                    let x = _mm256_loadu_pd(v.as_ptr().add(i + 4 * k));
+                    let gap = _mm256_andnot_pd(sign, _mm256_sub_pd(ve, x));
+                    let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(gap, gap_best[k]);
+                    gap_best[k] = _mm256_blendv_pd(gap_best[k], gap, gt);
+                    idx_best[k] = _mm256_castpd_si256(_mm256_blendv_pd(
+                        _mm256_castsi256_pd(idx_best[k]),
+                        _mm256_castsi256_pd(idx[k]),
+                        gt,
+                    ));
+                    idx[k] = _mm256_add_epi64(idx[k], step);
+                }
+                i += 8;
+            }
+            let (mut gaps, mut lanes) = ([0f64; 8], [0u64; 8]);
+            for k in 0..2 {
+                _mm256_storeu_pd(gaps.as_mut_ptr().add(4 * k), gap_best[k]);
+                _mm256_storeu_si256(lanes.as_mut_ptr().add(4 * k) as *mut __m256i, idx_best[k]);
+            }
+            best = reduce_gap_lanes(&gaps, &lanes, base, best);
+        }
+        for (j, &x) in v.iter().enumerate().skip(i) {
+            best = super::scalar::gap_step(best, e, x, base + j);
+        }
+        best
+    }
+
+    /// SSE2 [`super::argmax_gap_f64`]: 2 f64 lanes a step, the blend done
+    /// with and/andnot/or.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn argmax_gap_sse2(e: f64, values: &[f64], skip: usize) -> usize {
+        let (head, tail) = split_skip(values, skip);
+        let best = gap_scan_sse2(e, head, 0, (-1.0, usize::MAX));
+        gap_scan_sse2(e, tail, head.len() + 1, best).1
+    }
+
+    /// SSE2 sibling of `gap_scan_avx2`, 2 elements a step.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[target_feature(enable = "sse2")]
+    unsafe fn gap_scan_sse2(e: f64, v: &[f64], base: usize, best: (f64, usize)) -> (f64, usize) {
+        let n = v.len();
+        let mut best = best;
+        let mut i = 0;
+        if n >= 2 {
+            let (ve, sign) = (_mm_set1_pd(e), _mm_set1_pd(-0.0));
+            let mut gap_best = _mm_set1_pd(-1.0);
+            let mut idx_best = _mm_set1_epi64x(-1);
+            let mut idx = _mm_set_epi64x(1, 0);
+            let step = _mm_set1_epi64x(2);
+            while i + 2 <= n {
+                let gap = _mm_andnot_pd(sign, _mm_sub_pd(ve, _mm_loadu_pd(v.as_ptr().add(i))));
+                let gt = _mm_cmpgt_pd(gap, gap_best);
+                gap_best = _mm_or_pd(_mm_and_pd(gt, gap), _mm_andnot_pd(gt, gap_best));
+                let gt = _mm_castpd_si128(gt);
+                idx_best = _mm_or_si128(_mm_and_si128(gt, idx), _mm_andnot_si128(gt, idx_best));
+                idx = _mm_add_epi64(idx, step);
+                i += 2;
+            }
+            let (mut gaps, mut lanes) = ([0f64; 2], [0u64; 2]);
+            _mm_storeu_pd(gaps.as_mut_ptr(), gap_best);
+            _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, idx_best);
+            best = reduce_gap_lanes(&gaps, &lanes, base, best);
+        }
+        for (j, &x) in v.iter().enumerate().skip(i) {
+            best = super::scalar::gap_step(best, e, x, base + j);
+        }
+        best
     }
 
     /// AVX2 [`super::relu_f32`]. `maxps(z, 0)` matches scalar `max(0.0)`
@@ -1144,6 +1331,97 @@ mod tests {
                 let mut got = y0.clone();
                 add(&x, &mut got);
                 assert_eq!(bits(&got), bits(&want), "{name} add n={n}");
+            }
+        }
+    }
+
+    type ArgmaxGap = fn(f64, &[f64], usize) -> usize;
+
+    /// Every partner-search tier this host can run, as `(name, kernel)`.
+    fn argmax_gap_tiers() -> Vec<(&'static str, ArgmaxGap)> {
+        let mut tiers: Vec<(&'static str, ArgmaxGap)> = vec![
+            ("dispatched", argmax_gap_f64),
+            ("scalar", scalar::argmax_gap_f64),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            // Safety (both closures): each tier is listed only after its
+            // feature check, and SSE2 is the x86-64 baseline.
+            tiers.push(("sse2", |e, v, skip| unsafe {
+                x86::argmax_gap_sse2(e, v, skip)
+            }));
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(("avx2", |e, v, skip| unsafe {
+                    x86::argmax_gap_avx2(e, v, skip)
+                }));
+            }
+        }
+        tiers
+    }
+
+    /// SMO's sequential second-choice loop, as it stood before the kernel.
+    fn sequential_partner(e: f64, values: &[f64], skip: usize) -> usize {
+        let mut best_j = usize::MAX;
+        let mut best_gap = -1.0;
+        for (cand, &v) in values.iter().enumerate() {
+            if cand == skip {
+                continue;
+            }
+            let gap = (e - v).abs();
+            if gap > best_gap {
+                best_gap = gap;
+                best_j = cand;
+            }
+        }
+        best_j
+    }
+
+    #[test]
+    fn argmax_gap_matches_the_sequential_loop_in_every_tier() {
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0];
+        let mut r = rng(77);
+        let mut lens: Vec<usize> = (0..=17).collect();
+        lens.extend([31, 32, 33, 64, 100]);
+        for n in lens {
+            // Values from a 4-element set tie inside a lane, across lanes
+            // and between the vector body and the tail; the special cycle
+            // puts signed zeros, NaN and infinities in every lane.
+            let ties: Vec<f64> = (0..n).map(|_| f64::from(r.gen_range(-1i32..3))).collect();
+            let edge: Vec<f64> = (0..n).map(|k| specials[k % specials.len()]).collect();
+            let mixed: Vec<f64> = (0..n)
+                .map(|k| {
+                    if k % 3 == 0 {
+                        specials[(k / 3) % specials.len()]
+                    } else {
+                        r.gen::<f64>() * 4.0 - 2.0
+                    }
+                })
+                .collect();
+            let flat = vec![0.25; n];
+            for values in [&ties, &edge, &mixed, &flat] {
+                for skip in 0..=n + 1 {
+                    let mut es = vec![0.0, -0.0, 0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    es.extend(values.get(skip));
+                    for e in es {
+                        let want = sequential_partner(e, values, skip);
+                        for (name, kernel) in argmax_gap_tiers() {
+                            assert_eq!(
+                                kernel(e, values, skip),
+                                want,
+                                "{name} n={n} skip={skip} e={e} values={values:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            // An all-equal cache returns the first index that is not `skip`.
+            for skip in 0..n {
+                let first = usize::from(skip == 0);
+                for (name, kernel) in argmax_gap_tiers() {
+                    let got = kernel(0.25, &flat, skip);
+                    let want = if first < n { first } else { usize::MAX };
+                    assert_eq!(got, want, "{name} all-equal n={n} skip={skip}");
+                }
             }
         }
     }

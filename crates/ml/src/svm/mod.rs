@@ -7,7 +7,9 @@
 //! grid reuses one O(n²·d) pass. Each fit (and each model, for prediction)
 //! evaluates its kernel once per match count `m ∈ 0..=d` into a table, so
 //! the O(n) error-cache update per α-pair is two lookups per row, not two
-//! `exp` calls.
+//! `exp` calls. The second-choice scan `argmax_{j≠i} |E_i − E_j|` over the
+//! error cache runs on [`crate::kernels::argmax_gap_f64`], a SIMD kernel
+//! that returns the sequential loop's `j` in every tier.
 
 pub mod kernel;
 
@@ -137,12 +139,17 @@ impl SvmModel {
                 detail: "cannot fit an SVM on an empty dataset".into(),
             });
         }
-        if mm.n() != n {
+        let d = ds.n_features();
+        if mm.n() != n || mm.d() != d {
             return Err(MlError::Shape {
-                detail: "match matrix size does not match dataset".into(),
+                detail: format!(
+                    "match matrix is {}×{} over {} features, dataset is {n}×{n} over {d}",
+                    mm.n(),
+                    mm.n(),
+                    mm.d()
+                ),
             });
         }
-        let d = ds.n_features();
         let y: Vec<f64> = ds
             .labels()
             .iter()
@@ -167,7 +174,7 @@ impl SvmModel {
         let mut err: Vec<f64> = y.iter().map(|&v| -v).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
 
-        let table = params.kernel.table(mm.d());
+        let table = params.kernel.table(d);
         let kern = |i: usize, j: usize| table[mm.get(i, j) as usize];
         let c = params.c;
         let tol = params.tol;
@@ -184,21 +191,7 @@ impl SvmModel {
                 }
                 // Second-choice heuristic: maximise |E_i − E_j|, falling back
                 // to a random partner.
-                let mut j = {
-                    let mut best_j = usize::MAX;
-                    let mut best_gap = -1.0;
-                    for (cand, &e) in err.iter().enumerate() {
-                        if cand == i {
-                            continue;
-                        }
-                        let gap = (e_i - e).abs();
-                        if gap > best_gap {
-                            best_gap = gap;
-                            best_j = cand;
-                        }
-                    }
-                    best_j
-                };
+                let mut j = crate::kernels::argmax_gap_f64(e_i, &err, i);
                 if j == usize::MAX {
                     continue;
                 }
@@ -432,9 +425,14 @@ mod tests {
     #[test]
     fn mismatched_matrix_rejected() {
         let ds = separable();
-        let mm = MatchMatrix::compute(&ds.subset(&[0, 1]));
-        let err = SvmModel::fit_precomputed(&ds, &mm, SvmParams::new(KernelKind::Linear, 1.0));
-        assert!(err.is_err());
+        // Fewer rows, then the same rows over a different feature count.
+        let short = ds.subset(&[0, 1]);
+        let wide = CatDataset::new(meta(3, 3), vec![0; 3 * ds.n_rows()], vec![true; 6]).unwrap();
+        for other in [short, wide] {
+            let mm = MatchMatrix::compute(&other);
+            let err = SvmModel::fit_precomputed(&ds, &mm, SvmParams::new(KernelKind::Linear, 1.0));
+            assert!(matches!(err, Err(MlError::Shape { .. })), "{err:?}");
+        }
     }
 
     #[test]
