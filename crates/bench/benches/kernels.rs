@@ -1,6 +1,6 @@
 //! SIMD inference-kernel benchmarks: the runtime-dispatched kernels vs the
 //! bit-exact scalar reference at the raw-kernel level, and the model-level
-//! f32 / i8 / f16 encodings for MLP, SVM and logreg at 1/64/512-row
+//! f32 / i8 encodings for MLP, SVM and logreg at 1/64/512-row
 //! batches (the coalescer's merged-batch shapes).
 //!
 //! Medians land in `BENCH_serve.json` (see the vendored criterion shim),
@@ -18,7 +18,6 @@ use hamlet_ml::any::AnyClassifier;
 use hamlet_ml::dataset::{CatDataset, FeatureMeta, Provenance};
 use hamlet_ml::kernels;
 use hamlet_ml::logreg::{LogRegL1, LogRegParams};
-use hamlet_ml::quant::QuantEncoding;
 use hamlet_ml::svm::{KernelKind, SvmModel, SvmParams};
 use hamlet_relation::domain::CatDomain;
 
@@ -116,12 +115,8 @@ fn model_encodings(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kernels");
     for (family, model) in [("mlp", mlp), ("svm", svm), ("logreg", logreg)] {
-        let variants: Vec<(&str, AnyClassifier)> = vec![
-            ("f32", model.clone()),
-            ("i8", model.quantize(QuantEncoding::I8).unwrap()),
-            ("f16", model.quantize(QuantEncoding::F16).unwrap()),
-        ];
-        for (enc, m) in &variants {
+        let i8 = model.quantize().unwrap();
+        for (enc, m) in [("f32", &model), ("i8", &i8)] {
             for rows in BATCHES {
                 let batch = &flat[..rows * d];
                 group.bench_function(format!("{family}_{enc}_{rows}rows"), |b| {

@@ -1,11 +1,10 @@
-//! Network-plane benchmarks: reactor sharding and vectored writes.
+//! Network-plane benchmarks: reactor sharding.
 //!
 //! Measures one saturation round of small keep-alive requests (the
 //! many-small-requests serving shape) against servers configured with
-//! 1 / 2 / 4 reactors, crossed with vectored (`writev`) vs. per-segment
-//! response writes. The handler is synthetic — no models — so the numbers
-//! isolate accept sharding, epoll dispatch and the write path rather than
-//! inference cost.
+//! 1 / 2 / 4 reactors. The handler is synthetic — no models — so the
+//! numbers isolate accept sharding, epoll dispatch and the `writev` path
+//! rather than inference cost.
 //!
 //! Medians land in `BENCH_serve.json` (see the vendored criterion shim),
 //! so the trajectory is tracked across commits.
@@ -25,9 +24,9 @@ const CLIENTS: usize = 8;
 /// Pipelined requests per client connection per round.
 const PER_CLIENT: usize = 32;
 
-/// Echo-ish handler with a ~1 KiB body: big enough that header + body as
-/// separate segments is a real two-write cost without `writev`, small
-/// enough that syscall count (not byte throughput) dominates.
+/// Echo-ish handler with a ~1 KiB body: header + body ride as two
+/// segments of one `writev`, small enough that syscall count (not byte
+/// throughput) dominates.
 fn handler() -> hamlet_serve::http::Handler {
     Arc::new(|req: &Request, responder: Responder| {
         let tag = format!("{}:{};", req.path, req.body.len());
@@ -70,26 +69,22 @@ fn netplane(c: &mut Criterion) {
     group.sample_size(10);
     let total = CLIENTS * PER_CLIENT;
     for reactors in [1usize, 2, 4] {
-        for vectored in [true, false] {
-            let server = Server::bind_with(
-                "127.0.0.1:0",
-                handler(),
-                ServerOptions {
-                    workers: 2,
-                    reactors,
-                    vectored_writes: vectored,
-                    max_conns: 2048,
-                    ..ServerOptions::default()
-                },
-            )
-            .unwrap();
-            let addr = server.addr();
-            let wv = if vectored { "writev_on" } else { "writev_off" };
-            group.bench_function(format!("reactors{reactors}_{wv}_{total}req"), |b| {
-                b.iter(|| round(addr))
-            });
-            server.shutdown();
-        }
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            handler(),
+            ServerOptions {
+                workers: 2,
+                reactors,
+                max_conns: 2048,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+        group.bench_function(format!("reactors{reactors}_{total}req"), |b| {
+            b.iter(|| round(addr))
+        });
+        server.shutdown();
     }
     group.finish();
 }

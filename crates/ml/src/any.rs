@@ -17,7 +17,7 @@ use crate::knn::OneNearestNeighbor;
 use crate::logreg::LogRegL1;
 use crate::model::{Classifier, MajorityClass};
 use crate::naive_bayes::NaiveBayes;
-use crate::quant::{QuantEncoding, QuantModel, QuantPayload};
+use crate::quant::{QuantModel, ENCODING};
 use crate::svm::SvmModel;
 use crate::tree::DecisionTree;
 
@@ -55,7 +55,7 @@ pub enum AnyClassifier {
     LogReg(LogRegL1),
     /// Any of the above behind a feature-subset projection.
     Subset(SubsetModel),
-    /// A quantized (i8/f16) MLP, SVM or logreg model.
+    /// A quantized (i8) MLP, SVM or logreg model.
     Quantized(QuantModel),
     /// A tiered cascade: calibrated cheap front-tiers with a
     /// high-confidence short-circuit over a shared contract.
@@ -82,10 +82,10 @@ impl AnyClassifier {
     }
 
     /// Weight-storage encoding tag: `"f32"` for full-precision models,
-    /// `"i8"`/`"f16"` for quantized ones.
+    /// `"i8"` for quantized ones.
     pub fn encoding(&self) -> &'static str {
         match self {
-            AnyClassifier::Quantized(q) => q.encoding.name(),
+            AnyClassifier::Quantized(_) => ENCODING,
             AnyClassifier::Subset(s) => s.inner.encoding(),
             // A cascade mixes per-tier encodings; report the top (most
             // expensive) tier's, which dominates resident weight bytes.
@@ -118,22 +118,21 @@ impl AnyClassifier {
         }
     }
 
-    /// Quantizes the dense weight tensors to `encoding`. Supported for the
+    /// Quantizes the dense weight tensors to i8. Supported for the
     /// high-capacity families (MLP, SVM, logreg) and subset projections
     /// over them; structural models (trees, kNN, NB, majority) have no
     /// weight tensors and error, as does re-quantizing a quantized model.
-    pub fn quantize(&self, encoding: QuantEncoding) -> Result<AnyClassifier> {
+    pub fn quantize(&self) -> Result<AnyClassifier> {
         match self {
-            AnyClassifier::Mlp(m) => Ok(QuantModel::from_mlp(m, encoding).into()),
-            AnyClassifier::Svm(m) => Ok(QuantModel::from_svm(m, encoding).into()),
-            AnyClassifier::LogReg(m) => Ok(QuantModel::from_logreg(m, encoding).into()),
+            AnyClassifier::Mlp(m) => Ok(QuantModel::from_mlp(m).into()),
+            AnyClassifier::Svm(m) => Ok(QuantModel::from_svm(m).into()),
+            AnyClassifier::LogReg(m) => Ok(QuantModel::from_logreg(m).into()),
             AnyClassifier::Subset(s) => Ok(AnyClassifier::Subset(SubsetModel {
                 keep: s.keep.clone(),
-                inner: Box::new(s.inner.quantize(encoding)?),
+                inner: Box::new(s.inner.quantize()?),
             })),
-            AnyClassifier::Quantized(q) => Err(MlError::Invalid(format!(
-                "model is already quantized ({})",
-                q.encoding.name()
+            AnyClassifier::Quantized(_) => Err(MlError::Invalid(format!(
+                "model is already quantized ({ENCODING})"
             ))),
             AnyClassifier::Cascade(_) => Err(MlError::Invalid(
                 "cascades bundle per-tier encodings; quantize each tier before building".into(),
@@ -346,10 +345,10 @@ impl AnyClassifier {
             }
             AnyClassifier::Mlp(m) => (&m.offsets, m.d_in),
             AnyClassifier::LogReg(m) => (&m.offsets, m.weights.len()),
-            AnyClassifier::Quantized(q) => match &q.payload {
-                QuantPayload::Mlp(m) => (&m.offsets, m.d_in),
-                QuantPayload::LogReg(m) => (&m.offsets, m.weights.len()),
-                QuantPayload::Svm(_) => return Ok(()),
+            AnyClassifier::Quantized(q) => match q {
+                QuantModel::Mlp(m) => (&m.offsets, m.d_in),
+                QuantModel::LogReg(m) => (&m.offsets, m.weights.len()),
+                QuantModel::Svm(_) => return Ok(()),
             },
             _ => return Ok(()),
         };
@@ -751,7 +750,7 @@ mod tests {
     /// `fit(None)` is a well-formed one-hot model on `ds()` (two features
     /// of cardinality 3: offsets `[0, 3, 6]`, input width 6); `fit(Some(o))`
     /// is the same model with offsets `o`. Each corruption must fail
-    /// `check_contract` for the model and both of its quantized forms.
+    /// `check_contract` for the model and its quantized form.
     fn assert_offsets_checked(fit: impl Fn(Option<Vec<u32>>) -> AnyClassifier) {
         let contract = ds().contract();
         let cases = [
@@ -762,9 +761,8 @@ mod tests {
         ];
         for (offsets, ok) in cases {
             let model = fit(offsets.clone());
-            let quantized =
-                [QuantEncoding::I8, QuantEncoding::F16].map(|e| model.quantize(e).unwrap());
-            for m in std::iter::once(model).chain(quantized) {
+            let quantized = model.quantize().unwrap();
+            for m in [model, quantized] {
                 let res = m.check_contract(&contract);
                 assert_eq!(res.is_ok(), ok, "{} {offsets:?}: {res:?}", m.family());
             }

@@ -15,9 +15,7 @@ use crate::knn::OneNearestNeighbor;
 use crate::logreg::LogRegL1;
 use crate::model::MajorityClass;
 use crate::naive_bayes::NaiveBayes;
-use crate::quant::{
-    QTensor, QTensor64, QuantEncoding, QuantLogReg, QuantMlp, QuantModel, QuantPayload, QuantSvm,
-};
+use crate::quant::{QTensor, QTensor64, QuantLogReg, QuantMlp, QuantModel, QuantSvm};
 use crate::svm::{KernelKind, SvmModel};
 use crate::tree::DecisionTree;
 
@@ -244,56 +242,34 @@ fn decode_logreg(r: &mut BinReader) -> Result<LogRegL1> {
 }
 
 fn encode_qtensor(w: &mut BinWriter, t: &QTensor) {
-    match t {
-        QTensor::I8 { data, scale } => {
-            w.put_f32(*scale);
-            w.put_pod_slice(data);
-        }
-        QTensor::F16 { data } => w.put_pod_slice(data),
-    }
+    w.put_f32(t.scale);
+    w.put_pod_slice(&t.data);
 }
 
-fn decode_qtensor(r: &mut BinReader, enc: QuantEncoding) -> Result<QTensor> {
-    Ok(match enc {
-        QuantEncoding::I8 => QTensor::I8 {
-            scale: r.read_f32()?,
-            data: r.read_pod_vec()?,
-        },
-        QuantEncoding::F16 => QTensor::F16 {
-            data: r.read_pod_vec()?,
-        },
+fn decode_qtensor(r: &mut BinReader) -> Result<QTensor> {
+    Ok(QTensor {
+        scale: r.read_f32()?,
+        data: r.read_pod_vec()?,
     })
 }
 
 fn encode_qtensor64(w: &mut BinWriter, t: &QTensor64) {
-    match t {
-        QTensor64::I8 { data, scale } => {
-            w.put_f64(*scale);
-            w.put_pod_slice(data);
-        }
-        QTensor64::F16 { data } => w.put_pod_slice(data),
-    }
+    w.put_f64(t.scale);
+    w.put_pod_slice(&t.data);
 }
 
-fn decode_qtensor64(r: &mut BinReader, enc: QuantEncoding) -> Result<QTensor64> {
-    Ok(match enc {
-        QuantEncoding::I8 => QTensor64::I8 {
-            scale: r.read_f64()?,
-            data: r.read_pod_vec()?,
-        },
-        QuantEncoding::F16 => QTensor64::F16 {
-            data: r.read_pod_vec()?,
-        },
+fn decode_qtensor64(r: &mut BinReader) -> Result<QTensor64> {
+    Ok(QTensor {
+        scale: r.read_f64()?,
+        data: r.read_pod_vec()?,
     })
 }
 
 fn encode_quant(w: &mut BinWriter, q: &QuantModel) {
-    w.put_u8(match q.encoding {
-        QuantEncoding::I8 => 0,
-        QuantEncoding::F16 => 1,
-    });
-    match &q.payload {
-        QuantPayload::Mlp(m) => {
+    // Encoding tag: 0 is i8, the only quantized encoding.
+    w.put_u8(0);
+    match q {
+        QuantModel::Mlp(m) => {
             w.put_u8(0);
             w.put_usize(m.d_in);
             w.put_usize(m.h1);
@@ -306,7 +282,7 @@ fn encode_quant(w: &mut BinWriter, q: &QuantModel) {
             w.put_pod_slice(&m.b2);
             encode_qtensor(w, &m.w3);
         }
-        QuantPayload::Svm(m) => {
+        QuantModel::Svm(m) => {
             w.put_u8(1);
             encode_kernel(w, m.kernel);
             w.put_usize(m.n_features);
@@ -314,7 +290,7 @@ fn encode_quant(w: &mut BinWriter, q: &QuantModel) {
             encode_qtensor64(w, &m.sv_coef);
             w.put_pod_slice(&m.sv_rows);
         }
-        QuantPayload::LogReg(m) => {
+        QuantModel::LogReg(m) => {
             w.put_u8(2);
             w.put_f64(m.intercept);
             w.put_pod_slice(&m.offsets);
@@ -324,23 +300,24 @@ fn encode_quant(w: &mut BinWriter, q: &QuantModel) {
 }
 
 fn decode_quant(r: &mut BinReader) -> Result<QuantModel> {
-    let encoding = match r.read_u8()? {
-        0 => QuantEncoding::I8,
-        1 => QuantEncoding::F16,
-        t => return Err(bad(format!("quantized encoding tag {t}"))),
-    };
-    let payload = match r.read_u8()? {
+    let encoding = r.read_u8()?;
+    if encoding != 0 {
+        return Err(bad(format!(
+            "quantized encoding tag {encoding} (only 0, i8, is supported)"
+        )));
+    }
+    Ok(match r.read_u8()? {
         0 => {
             let d_in = r.read_usize()?;
             let h1 = r.read_usize()?;
             let h2 = r.read_usize()?;
             let b3 = r.read_f32()?;
             let offsets = r.read_pod_vec()?;
-            let w1 = decode_qtensor(r, encoding)?;
+            let w1 = decode_qtensor(r)?;
             let b1 = r.read_pod_vec()?;
-            let w2 = decode_qtensor(r, encoding)?;
+            let w2 = decode_qtensor(r)?;
             let b2 = r.read_pod_vec()?;
-            let w3 = decode_qtensor(r, encoding)?;
+            let w3 = decode_qtensor(r)?;
             let m = QuantMlp {
                 offsets,
                 d_in,
@@ -362,27 +339,27 @@ fn decode_quant(r: &mut BinReader) -> Result<QuantModel> {
             {
                 return Err(bad("quantized MLP layer shapes disagree"));
             }
-            QuantPayload::Mlp(m)
+            QuantModel::Mlp(m)
         }
         1 => {
             let kernel = decode_kernel(r)?;
             let n_features = r.read_usize()?;
             let bias = r.read_f64()?;
-            let sv_coef = decode_qtensor64(r, encoding)?;
+            let sv_coef = decode_qtensor64(r)?;
             let sv_rows = r.read_pod_vec::<u32>()?;
             if !svm_width_ok(n_features)
                 || Some(sv_rows.len()) != sv_coef.len().checked_mul(n_features)
             {
                 return Err(bad("quantized SVM support-vector shapes disagree"));
             }
-            QuantPayload::Svm(QuantSvm::from_parts(
+            QuantModel::Svm(QuantSvm::from_parts(
                 kernel, n_features, sv_rows, sv_coef, bias,
             ))
         }
         2 => {
             let intercept = r.read_f64()?;
             let offsets = r.read_pod_vec::<u32>()?;
-            let weights = decode_qtensor64(r, encoding)?;
+            let weights = decode_qtensor64(r)?;
             if offsets
                 .last()
                 .is_none_or(|&dim| weights.len() != dim as usize)
@@ -391,15 +368,14 @@ fn decode_quant(r: &mut BinReader) -> Result<QuantModel> {
                     "quantized logreg weights do not span the one-hot offsets",
                 ));
             }
-            QuantPayload::LogReg(QuantLogReg {
+            QuantModel::LogReg(QuantLogReg {
                 offsets,
                 weights,
                 intercept,
             })
         }
         t => return Err(bad(format!("quantized payload tag {t}"))),
-    };
-    Ok(QuantModel { encoding, payload })
+    })
 }
 
 fn encode_calibrator(w: &mut BinWriter, c: &Calibrator) {
@@ -626,18 +602,10 @@ pub(crate) fn tests_all_families(data: &crate::dataset::CatDataset) -> Vec<AnyCl
         }
         .into(),
     ];
-    // Quantized variants of every family that supports them, in both
-    // encodings — the roundtrip/truncation tests then cover family
-    // tag 8 with each encoding × payload combination.
-    let quantized: Vec<AnyClassifier> = models
-        .iter()
-        .flat_map(|m| {
-            [QuantEncoding::I8, QuantEncoding::F16]
-                .into_iter()
-                .filter_map(|enc| m.quantize(enc).ok())
-        })
-        .collect();
-    assert_eq!(quantized.len(), 6, "mlp/svm/logreg × i8/f16");
+    // Quantized variants of every family that supports them — the
+    // roundtrip/truncation tests then cover family tag 8 with each payload.
+    let quantized: Vec<AnyClassifier> = models.iter().filter_map(|m| m.quantize().ok()).collect();
+    assert_eq!(quantized.len(), 3, "mlp/svm/logreg");
     models.extend(quantized);
     // A two-tier cascade (tree → MLP) covering family tag 9 with both
     // calibrator codecs.
@@ -726,6 +694,53 @@ mod tests {
         let mut r = BinReader::over_heap(vec![99]);
         let err = AnyClassifier::decode_bin(&mut r).unwrap_err();
         assert!(err.to_string().contains("family tag"), "{err}");
+    }
+
+    #[test]
+    fn retired_f16_tags_are_clean_errors() {
+        // A quantized logreg laid out as the retired f16 encoding wrote it:
+        // encoding byte 1, then weights as a bare pod frame tagged 7 (two
+        // bytes per element, no scale).
+        let mut w = BinWriter::new();
+        w.put_u8(8);
+        w.put_u8(1);
+        w.put_u8(2);
+        w.put_f64(0.5);
+        w.put_pod_slice::<u32>(&[0, 4, 8, 12]);
+        let f16_frame = w.buf.len();
+        w.put_pod_slice::<u16>(&[0x3C00; 12]);
+        let mut bytes = w.finish();
+        bytes[f16_frame] = 7;
+        let err = AnyClassifier::decode_bin(&mut BinReader::over_heap(bytes.clone())).unwrap_err();
+        assert!(err.to_string().contains("encoding tag 1"), "{err}");
+
+        // Encoding byte 1 in front of every real i8 payload fails the same
+        // way.
+        let data = ds(37);
+        for model in all_families(&data) {
+            let AnyClassifier::Quantized(_) = &model else {
+                continue;
+            };
+            let mut w = BinWriter::new();
+            model.encode_bin(&mut w);
+            let mut q = w.finish();
+            assert_eq!(q[..2], [8, 0], "family {}", model.family());
+            q[1] = 1;
+            let err = AnyClassifier::decode_bin(&mut BinReader::over_heap(q)).unwrap_err();
+            assert!(err.to_string().contains("encoding tag 1"), "{err}");
+        }
+
+        // A pod frame tagged 7 matches no element type.
+        let frame = bytes[f16_frame..].to_vec();
+        fn read<T: crate::binenc::Pod>(frame: &[u8]) -> Result<PodVec<T>> {
+            BinReader::over_heap(frame.to_vec()).read_pod_vec::<T>()
+        }
+        assert!(read::<i8>(&frame).is_err());
+        assert!(read::<u16>(&frame).is_err());
+        assert!(read::<u32>(&frame).is_err());
+        assert!(read::<u64>(&frame).is_err());
+        assert!(read::<f32>(&frame).is_err());
+        assert!(read::<f64>(&frame).is_err());
     }
 
     #[test]

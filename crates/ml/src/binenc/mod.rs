@@ -26,7 +26,7 @@ pub mod codec;
 pub mod pod;
 pub mod quantize;
 
-pub use pod::{MapAdvice, MmapFile, Pod, PodVec, F16};
+pub use pod::{MapAdvice, MmapFile, Pod, PodVec};
 
 use std::sync::Arc;
 

@@ -67,45 +67,6 @@ unsafe impl Pod for i8 {
     }
 }
 
-/// IEEE 754 binary16 ("half") stored as its raw bit pattern.
-///
-/// A storage type, not an arithmetic one: quantized weight sections hold
-/// `PodVec<F16>` and the inference kernels widen to f32 on the fly
-/// (hardware F16C when available, software otherwise). `PartialEq`
-/// compares bit patterns, which is exactly right for a storage type —
-/// round-tripping through the v3 container must preserve bits, NaN
-/// payloads included.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(transparent)]
-pub struct F16(pub u16);
-
-impl F16 {
-    /// Quantizes an f32 (round-to-nearest-even, overflow → ±∞).
-    #[inline]
-    pub fn from_f32(x: f32) -> Self {
-        F16(crate::kernels::f32_to_f16_bits(x))
-    }
-
-    /// Widens back to f32 (lossless: every half value is representable).
-    #[inline]
-    pub fn to_f32(self) -> f32 {
-        crate::kernels::f16_bits_to_f32(self.0)
-    }
-}
-
-unsafe impl Pod for F16 {
-    const WIDTH: usize = 2;
-    const TAG: u8 = 7;
-    #[inline]
-    fn to_le(self) -> Self {
-        F16(self.0.to_le())
-    }
-    #[inline]
-    fn from_le(v: Self) -> Self {
-        F16(u16::from_le(v.0))
-    }
-}
-
 unsafe impl Pod for f32 {
     const WIDTH: usize = 4;
     const TAG: u8 = 4;

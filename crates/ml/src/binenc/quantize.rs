@@ -1,23 +1,14 @@
-//! Per-tensor weight quantization: symmetric i8 (scale) and f16.
+//! Per-tensor symmetric i8 weight quantization.
 //!
-//! Both encodings are *storage* transforms — training stays in f32/f64,
-//! and a quantized artifact is produced offline from a full-precision one
-//! (`hamlet-serve artifact convert --quantize {i8,f16}`). The error
-//! contract per tensor:
+//! Quantization is a *storage* transform — training stays in f32/f64, and
+//! a quantized artifact is produced offline from a full-precision one
+//! (`hamlet-serve artifact convert --quantize i8`). The error contract per
+//! tensor: `scale = max|v| / 127`, `q = round(v / scale)` clamped to ±127.
+//! Round-to-nearest guarantees `|dequant(q) − v| ≤ scale / 2` for every
+//! in-range element; there is no zero-point, so exact zeros stay exactly
+//! zero.
 //!
-//! - **i8**: symmetric, `scale = max|v| / 127`, `q = round(v / scale)`
-//!   clamped to ±127. Round-to-nearest guarantees
-//!   `|dequant(q) − v| ≤ scale / 2` for every in-range element; there is
-//!   no zero-point, so exact zeros stay exactly zero.
-//! - **f16**: IEEE binary16 round-to-nearest-even. Exact for every value
-//!   whose significand fits in 11 bits and whose exponent lies in
-//!   [−24, 15] — which covers the bulk of trained, L2-regularized network
-//!   weights — and relative error ≤ 2⁻¹¹ otherwise.
-//!
-//! Proptests at the bottom pin both bounds.
-
-use crate::binenc::pod::F16;
-use crate::kernels;
+//! A proptest at the bottom pins the bound.
 
 /// A symmetric i8 quantization of an f32 tensor.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,30 +52,6 @@ pub fn dequant_i8(q: i8, scale: f32) -> f32 {
     f32::from(q) * scale
 }
 
-/// Converts an f32 tensor to f16 (round-to-nearest-even per element,
-/// F16C-accelerated when the CPU has it — bit-identical to the software
-/// path for every non-NaN weight).
-pub fn quantize_f16(values: &[f32]) -> Vec<F16> {
-    let mut out = vec![F16(0); values.len()];
-    kernels::f32_to_f16_slice(values, &mut out);
-    out
-}
-
-/// Converts an f64 tensor to f16 via f32 (two correctly-rounded steps; the
-/// double rounding is immaterial at f16's 11-bit precision for the weight
-/// magnitudes we store).
-pub fn quantize_f16_f64(values: &[f64]) -> Vec<F16> {
-    values.iter().map(|&v| F16::from_f32(v as f32)).collect()
-}
-
-/// Widens an f16 tensor back to f32 (lossless, F16C-accelerated when the
-/// CPU has it — every tier is bit-identical).
-pub fn dequantize_f16(values: &[F16]) -> Vec<f32> {
-    let mut out = vec![0f32; values.len()];
-    kernels::f16_to_f32_slice(values, &mut out);
-    out
-}
-
 /// Quantizes a runtime f32 activation vector to i8 in place of `out`,
 /// returning the per-row scale. This is the dynamic half of i8×i8
 /// inference: weights carry a static per-tensor scale, activations get a
@@ -104,12 +71,6 @@ pub fn quantize_activations_i8(values: &[f32], out: &mut Vec<i8>) -> f32 {
             .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8),
     );
     scale
-}
-
-/// Whether an f32 survives the f16 round-trip exactly.
-pub fn f16_is_exact(v: f32) -> bool {
-    let bits = kernels::f32_to_f16_bits(v);
-    kernels::f16_bits_to_f32(bits) == v || v.is_nan()
 }
 
 #[cfg(test)]
@@ -146,17 +107,6 @@ mod tests {
         assert_eq!(s2, 1.0);
     }
 
-    #[test]
-    fn f16_tensor_roundtrip() {
-        let vals = [0.0f32, 1.0, -0.5, 0.25, 65504.0, -2.0];
-        let h = quantize_f16(&vals);
-        assert_eq!(dequantize_f16(&h), vals.to_vec());
-        for &v in &vals {
-            assert!(f16_is_exact(v), "{v}");
-        }
-        assert!(!f16_is_exact(0.1)); // 0.1 needs more than 11 mantissa bits
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -175,40 +125,6 @@ mod tests {
                     err <= q.scale / 2.0 * (1.0 + 1e-5),
                     "err {} vs scale/2 {}", err, q.scale / 2.0
                 );
-            }
-        }
-
-        /// Satellite bound: f16 is exact for 11-bit-significand values
-        /// m · 2^(e−10) across the full binary16 exponent range (subnormals
-        /// and 65504 included).
-        #[test]
-        fn f16_is_exact_for_11bit_mantissa_values(
-            m in 0u32..2048,
-            e in -14i32..=15,
-            neg in 0i32..2,
-        ) {
-            let sign = if neg == 1 { -1.0f32 } else { 1.0 };
-            let v = (m as f32) * ((e - 10) as f32).exp2() * sign;
-            let bits = kernels::f32_to_f16_bits(v);
-            prop_assert_eq!(
-                kernels::f16_bits_to_f32(bits), v,
-                "m={} e={} v={}", m, e, v
-            );
-        }
-
-        /// f16 relative error bound for arbitrary in-range values: ≤ 2⁻¹¹.
-        #[test]
-        fn f16_relative_error_is_bounded(raw in -60000.0f64..60000.0) {
-            let v = raw as f32;
-            let back = kernels::f16_bits_to_f32(kernels::f32_to_f16_bits(v));
-            if v == 0.0 {
-                prop_assert_eq!(back, 0.0);
-            } else if v.abs() >= 6.2e-5 {
-                // Normal range: relative bound.
-                prop_assert!(((back - v) / v).abs() <= 2f32.powi(-11));
-            } else {
-                // Subnormal range: absolute bound of half an ulp (2⁻²⁵).
-                prop_assert!((back - v).abs() <= 2f32.powi(-25));
             }
         }
     }

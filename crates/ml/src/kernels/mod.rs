@@ -2,7 +2,7 @@
 //!
 //! Every dense inner loop on the serving path — the MLP's hidden→hidden and
 //! hidden→output GEMV rows, the SVM's match-count kernel evaluations, the
-//! logreg one-hot gather-sum, and the quantized i8/f16 variants — funnels
+//! logreg one-hot gather-sum, and the quantized i8 variants — funnels
 //! through this module. Training shares the same kernels (the MLP's forward
 //! pass, the SVM match matrix) and adds two elementwise updates for the
 //! MLP's backward pass, [`axpy_f32`] and [`add_f32`], and SMO's partner
@@ -34,8 +34,6 @@
 
 use std::sync::OnceLock;
 
-use crate::binenc::pod::F16;
-
 /// The instruction-set tier selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -59,7 +57,6 @@ impl Backend {
 }
 
 static BACKEND: OnceLock<Backend> = OnceLock::new();
-static HAS_F16C: OnceLock<bool> = OnceLock::new();
 
 /// The process-wide kernel backend (detected once, then cached).
 #[inline]
@@ -88,23 +85,6 @@ fn detect(force_scalar: bool) -> Backend {
         }
     }
     Backend::Scalar
-}
-
-/// Whether the AVX2 tier may additionally use F16C half↔single conversion
-/// instructions (a separate CPUID bit; universal on AVX2 parts in practice,
-/// but never assumed).
-#[inline]
-fn has_f16c() -> bool {
-    *HAS_F16C.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            backend() == Backend::Avx2 && is_x86_feature_detected!("f16c")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    })
 }
 
 // ---- dispatched kernels ----
@@ -224,52 +204,6 @@ pub fn add_f32(x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Dequantize-on-the-fly dot product over f16 weights and f32 activations:
-/// `init + Σ f32(a[i])·b[i]`. Uses F16C hardware conversion when the CPU
-/// has it; otherwise software-converts per element.
-#[inline]
-pub fn dot_f16_f32(init: f32, a: &[F16], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if has_f16c() {
-        // Safety: guarded by the AVX2 + F16C runtime check above.
-        return unsafe { x86::dot_f16_f32_avx2(init, a, b) };
-    }
-    scalar::dot_f16_f32(init, a, b)
-}
-
-/// Widens a whole f16 slice to f32 (`dst[i] = f32(src[i])`), hardware
-/// F16C (`vcvtph2ps`) when available. Every binary16 value is exactly
-/// representable in f32, so the conversion is lossless and every tier
-/// agrees bit-for-bit — batch-dequantized weights are backend-independent.
-#[inline]
-pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if has_f16c() {
-        // Safety: guarded by the AVX2 + F16C runtime check above.
-        return unsafe { x86::f16_to_f32_slice_f16c(src, dst) };
-    }
-    scalar::f16_to_f32_slice(src, dst);
-}
-
-/// Narrows a whole f32 slice to f16, round-to-nearest-even, hardware F16C
-/// (`vcvtps2ph`) when available. Hardware and software agree bit-for-bit
-/// on every non-NaN input (both are correctly-rounded RNE with saturation
-/// to ±∞ and gradual underflow); NaN inputs produce a NaN in every tier
-/// but the payload bits may differ (hardware keeps the top mantissa bits,
-/// the software path collapses to a canonical quiet NaN).
-#[inline]
-pub fn f32_to_f16_slice(src: &[f32], dst: &mut [F16]) {
-    debug_assert_eq!(src.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if has_f16c() {
-        // Safety: guarded by the AVX2 + F16C runtime check above.
-        return unsafe { x86::f32_to_f16_slice_f16c(src, dst) };
-    }
-    scalar::f32_to_f16_slice(src, dst);
-}
-
 /// One-hot gather-sum `init + Σ weights[offsets[j] + codes[j]]` — the
 /// entire logreg decision function. The gather is latency-bound, so SIMD
 /// only engages past a width floor; below it the scalar reference runs (and
@@ -298,8 +232,6 @@ pub fn onehot_dot_f64(init: f64, weights: &[f64], offsets: &[u32], codes: &[u32]
 /// Bit-exact scalar reference implementations. Public so parity tests and
 /// benches can pit them against the dispatched tier directly.
 pub mod scalar {
-    use super::F16;
-
     /// See [`super::dot_f32`]. Sequential left-to-right accumulation.
     #[inline]
     pub fn dot_f32(init: f32, a: &[f32], b: &[f32]) -> f32 {
@@ -374,32 +306,6 @@ pub mod scalar {
         }
     }
 
-    /// See [`super::dot_f16_f32`]. Software per-element conversion.
-    #[inline]
-    pub fn dot_f16_f32(init: f32, a: &[F16], b: &[f32]) -> f32 {
-        let mut z = init;
-        for (x, y) in a.iter().zip(b) {
-            z += x.to_f32() * y;
-        }
-        z
-    }
-
-    /// See [`super::f16_to_f32_slice`]. Software per-element widening.
-    #[inline]
-    pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = s.to_f32();
-        }
-    }
-
-    /// See [`super::f32_to_f16_slice`]. Software per-element narrowing.
-    #[inline]
-    pub fn f32_to_f16_slice(src: &[f32], dst: &mut [F16]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = F16::from_f32(s);
-        }
-    }
-
     /// See [`super::onehot_dot_f64`].
     #[inline]
     pub fn onehot_dot_f64(init: f64, weights: &[f64], offsets: &[u32], codes: &[u32]) -> f64 {
@@ -411,73 +317,6 @@ pub mod scalar {
     }
 }
 
-// ---- f16 software conversion (shared by binenc::pod::F16) ----
-
-/// IEEE 754 binary16 bits → f32. Handles subnormals, infinities and NaN;
-/// every f16 value is exactly representable in f32, so this is lossless.
-pub fn f16_bits_to_f32(bits: u16) -> f32 {
-    let sign = u32::from(bits >> 15);
-    let exp = u32::from((bits >> 10) & 0x1F);
-    let man = u32::from(bits & 0x3FF);
-    let magnitude = if exp == 0 {
-        // Zero / subnormal: man · 2⁻²⁴ (2⁻²⁴ = f32 bits 0x3380_0000).
-        man as f32 * f32::from_bits(0x3380_0000)
-    } else if exp == 31 {
-        if man == 0 {
-            f32::INFINITY
-        } else {
-            f32::NAN
-        }
-    } else {
-        // Rebias 15 → 127, widen the mantissa 10 → 23 bits.
-        f32::from_bits(((exp + 112) << 23) | (man << 13))
-    };
-    if sign == 1 {
-        -magnitude
-    } else {
-        magnitude
-    }
-}
-
-/// f32 → IEEE 754 binary16 bits, round-to-nearest-even. Overflow saturates
-/// to ±∞; underflow goes through the subnormal range down to ±0.
-pub fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 31) as u16) << 15;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x7F_FFFF;
-    if exp == 255 {
-        // Inf / NaN (quiet bit set so NaN payloads stay NaN).
-        return sign | 0x7C00 | u16::from(man != 0) << 9;
-    }
-    let e = exp - 127;
-    if e > 15 {
-        return sign | 0x7C00;
-    }
-    if e >= -14 {
-        // Normal half: rebias, truncate the mantissa to 10 bits, round to
-        // nearest even on the 13 dropped bits. A rounding carry propagates
-        // into the exponent (and on to ∞) by construction of the encoding.
-        let h = ((e + 15) as u32) << 10 | man >> 13;
-        let rem = man & 0x1FFF;
-        let round_up = rem > 0x1000 || (rem == 0x1000 && h & 1 == 1);
-        return sign | (h + u32::from(round_up)) as u16;
-    }
-    if e >= -25 {
-        // Subnormal half: shift the 24-bit significand down to units of
-        // 2⁻²⁴, round to nearest even. e = −25 covers the halfway point
-        // between zero and the smallest subnormal.
-        let full = 0x80_0000 | man;
-        let shift = (-e - 1) as u32;
-        let h = full >> shift;
-        let rem = full & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let round_up = rem > halfway || (rem == halfway && h & 1 == 1);
-        return sign | (h + u32::from(round_up)) as u16;
-    }
-    sign
-}
-
 // ---- x86-64 SIMD tiers ----
 
 /// AVX2 / SSE2 implementations. Public so parity tests can target a tier
@@ -485,7 +324,6 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 /// process-wide dispatch selected.
 #[cfg(target_arch = "x86_64")]
 pub mod x86 {
-    use super::F16;
     use std::arch::x86_64::*;
 
     #[inline]
@@ -995,85 +833,6 @@ pub mod x86 {
         }
     }
 
-    /// AVX2 + F16C [`super::dot_f16_f32`]: hardware `vcvtph2ps` widens 8
-    /// halves per step, then the usual multiply-accumulate.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 **and** F16C.
-    #[target_feature(enable = "avx2", enable = "f16c")]
-    pub unsafe fn dot_f16_f32_avx2(init: f32, a: &[F16], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr() as *const u16, b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 16 <= n {
-            let w0 = _mm256_cvtph_ps(_mm_loadu_si128(pa.add(i) as *const __m128i));
-            let w1 = _mm256_cvtph_ps(_mm_loadu_si128(pa.add(i + 8) as *const __m128i));
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(w0, _mm256_loadu_ps(pb.add(i))));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(w1, _mm256_loadu_ps(pb.add(i + 8))));
-            i += 16;
-        }
-        while i + 8 <= n {
-            let w = _mm256_cvtph_ps(_mm_loadu_si128(pa.add(i) as *const __m128i));
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(w, _mm256_loadu_ps(pb.add(i))));
-            i += 8;
-        }
-        let mut sum = hsum256_ps(_mm256_add_ps(acc0, acc1));
-        while i < n {
-            sum += a[i].to_f32() * b[i];
-            i += 1;
-        }
-        init + sum
-    }
-
-    /// F16C [`super::f16_to_f32_slice`]: `vcvtph2ps` widens 8 halves per
-    /// step. Lossless, so bit-identical to the software path.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 **and** F16C.
-    #[target_feature(enable = "avx2", enable = "f16c")]
-    pub unsafe fn f16_to_f32_slice_f16c(src: &[F16], dst: &mut [f32]) {
-        let n = src.len().min(dst.len());
-        let ps = src.as_ptr() as *const u16;
-        let pd = dst.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(
-                pd.add(i),
-                _mm256_cvtph_ps(_mm_loadu_si128(ps.add(i) as *const __m128i)),
-            );
-            i += 8;
-        }
-        while i < n {
-            dst[i] = src[i].to_f32();
-            i += 1;
-        }
-    }
-
-    /// F16C [`super::f32_to_f16_slice`]: `vcvtps2ph` (round-to-nearest-
-    /// even) narrows 8 singles per step. Matches the software path
-    /// bit-for-bit on every non-NaN input.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 **and** F16C.
-    #[target_feature(enable = "avx2", enable = "f16c")]
-    pub unsafe fn f32_to_f16_slice_f16c(src: &[f32], dst: &mut [F16]) {
-        let n = src.len().min(dst.len());
-        let ps = src.as_ptr();
-        let pd = dst.as_mut_ptr() as *mut u16;
-        let mut i = 0;
-        while i + 8 <= n {
-            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_loadu_ps(ps.add(i)));
-            _mm_storeu_si128(pd.add(i) as *mut __m128i, h);
-            i += 8;
-        }
-        while i < n {
-            dst[i] = F16::from_f32(src[i]);
-            i += 1;
-        }
-    }
-
     /// AVX2 [`super::onehot_dot_f64`]: a SIMD max-reduction proves every
     /// gathered index in range, then `vgatherdpd` pulls 4 doubles per step.
     /// Returns `None` when any index would be out of bounds (or the weight
@@ -1436,153 +1195,6 @@ mod tests {
             let au: Vec<u32> = (0..n).map(|_| r.gen_range(0..3)).collect();
             let bu: Vec<u32> = (0..n).map(|_| r.gen_range(0..3)).collect();
             assert_eq!(match_count_u32(&au, &bu), scalar::match_count_u32(&au, &bu));
-        }
-    }
-
-    #[test]
-    fn f16_conversion_fixed_points() {
-        // Exactly-representable values round-trip bit-perfectly.
-        for v in [
-            0.0f32,
-            -0.0,
-            1.0,
-            -1.0,
-            0.5,
-            2.0,
-            65504.0,
-            -65504.0,
-            0.099975586,
-        ] {
-            let bits = f32_to_f16_bits(v);
-            assert_eq!(f16_bits_to_f32(bits), v, "{v}");
-        }
-        assert_eq!(f32_to_f16_bits(1.0), 0x3C00);
-        assert_eq!(f32_to_f16_bits(-2.0), 0xC000);
-        // Saturation and specials.
-        assert_eq!(f32_to_f16_bits(1e6), 0x7C00);
-        assert_eq!(f16_bits_to_f32(0x7C00), f32::INFINITY);
-        assert_eq!(f16_bits_to_f32(0xFC00), f32::NEG_INFINITY);
-        assert!(f16_bits_to_f32(f32_to_f16_bits(f32::NAN)).is_nan());
-        // Smallest subnormal: 2⁻²⁴.
-        assert_eq!(f16_bits_to_f32(0x0001), 2f32.powi(-24));
-        assert_eq!(f32_to_f16_bits(2f32.powi(-24)), 0x0001);
-        // Halfway to the smallest subnormal ties to even (zero)…
-        assert_eq!(f32_to_f16_bits(2f32.powi(-25)), 0x0000);
-        // …and anything above the halfway point rounds up.
-        assert_eq!(f32_to_f16_bits(1.5 * 2f32.powi(-25)), 0x0001);
-        // Round-to-nearest-even at the mantissa boundary: 2049/2048 is
-        // halfway between 1.0 and the next half (1 + 2⁻¹⁰) → even (1.0).
-        assert_eq!(f32_to_f16_bits(1.0 + 2f32.powi(-11)), 0x3C00);
-        assert_eq!(f32_to_f16_bits(1.0 + 3.0 * 2f32.powi(-11)), 0x3C02);
-    }
-
-    #[test]
-    fn dot_f16_matches_f32_dot_within_tolerance() {
-        for n in [0usize, 7, 8, 16, 100, 256] {
-            let w = f32s(n, 70 + n as u64);
-            let a = f32s(n, 80 + n as u64);
-            let wh: Vec<F16> = w.iter().map(|&v| F16::from_f32(v)).collect();
-            let dequant: Vec<f32> = wh.iter().map(|h| h.to_f32()).collect();
-            let want = scalar::dot_f32(0.25, &dequant, &a);
-            let got = dot_f16_f32(0.25, &wh, &a);
-            assert!(rel_close(want, got, 1e-5), "n={n}: {want} vs {got}");
-            // And f16 quantization itself stays close to the f32 original.
-            let full = scalar::dot_f32(0.25, &w, &a);
-            assert!(rel_close(full, got, 2e-3), "n={n}: {full} vs {got}");
-        }
-    }
-
-    /// Finite / infinite values exercising every f32→f16 rounding regime:
-    /// normals, RNE ties, subnormal outputs, the overflow boundary, ±∞.
-    fn f16_edge_values() -> Vec<f32> {
-        vec![
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            1.0 + 2f32.powi(-11),       // tie → even
-            1.0 + 3.0 * 2f32.powi(-11), // above tie → up
-            2f32.powi(-24),             // smallest f16 subnormal
-            2f32.powi(-25),             // tie with zero → zero
-            1.5 * 2f32.powi(-25),       // above tie → smallest subnormal
-            2f32.powi(-30),             // underflows to zero
-            65504.0,                    // f16 max normal
-            65520.0,                    // tie with ∞ → ∞
-            1e6,                        // saturates
-            -65504.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-        ]
-    }
-
-    #[test]
-    fn f16_slice_conversions_match_scalar_bitwise() {
-        for n in [0usize, 1, 7, 8, 9, 16, 64, 257] {
-            let mut src = f32s(n, 90 + n as u64);
-            // Cycle the edge values through the head so the SIMD lanes see
-            // them, not just the scalar tail.
-            for (i, v) in f16_edge_values().into_iter().enumerate() {
-                if i < n {
-                    src[i] = v;
-                }
-            }
-            let mut want = vec![F16(0); n];
-            scalar::f32_to_f16_slice(&src, &mut want);
-            let mut got = vec![F16(0); n];
-            f32_to_f16_slice(&src, &mut got);
-            assert_eq!(got, want, "f32→f16 n={n}");
-            // And widening back is lossless in every tier.
-            let mut wf = vec![0f32; n];
-            scalar::f16_to_f32_slice(&want, &mut wf);
-            let mut gf = vec![0f32; n];
-            f16_to_f32_slice(&want, &mut gf);
-            let wb: Vec<u32> = wf.iter().map(|v| v.to_bits()).collect();
-            let gb: Vec<u32> = gf.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(gb, wb, "f16→f32 n={n}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn f16c_slice_tier_matches_scalar() {
-        if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c")) {
-            return; // No F16C: the dispatch test already covers this host.
-        }
-        // Direct-tier parity regardless of what process dispatch picked
-        // (e.g. under HAMLET_FORCE_SCALAR the dispatched path is scalar).
-        let mut src = f16_edge_values();
-        src.extend(f32s(100, 91));
-        let n = src.len();
-        let mut want = vec![F16(0); n];
-        scalar::f32_to_f16_slice(&src, &mut want);
-        let mut got = vec![F16(0); n];
-        // Safety: AVX2 + F16C verified above.
-        unsafe { x86::f32_to_f16_slice_f16c(&src, &mut got) };
-        assert_eq!(got, want);
-        let mut wf = vec![0f32; n];
-        scalar::f16_to_f32_slice(&want, &mut wf);
-        let mut gf = vec![0f32; n];
-        // Safety: AVX2 + F16C verified above.
-        unsafe { x86::f16_to_f32_slice_f16c(&want, &mut gf) };
-        let wb: Vec<u32> = wf.iter().map(|v| v.to_bits()).collect();
-        let gb: Vec<u32> = gf.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(gb, wb);
-        // NaN: payloads may differ between tiers, but NaN stays NaN.
-        let nans = [
-            f32::NAN,
-            -f32::NAN,
-            f32::NAN,
-            f32::NAN,
-            f32::NAN,
-            f32::NAN,
-            f32::NAN,
-            f32::NAN,
-        ];
-        let mut hw = [F16(0); 8];
-        // Safety: AVX2 + F16C verified above.
-        unsafe { x86::f32_to_f16_slice_f16c(&nans, &mut hw) };
-        for h in hw {
-            assert!(f16_bits_to_f32(h.0).is_nan());
         }
     }
 

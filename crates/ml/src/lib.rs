@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::metrics::{accuracy, error_rate, Confusion};
     pub use crate::model::{Classifier, MajorityClass};
     pub use crate::naive_bayes::NaiveBayes;
-    pub use crate::quant::{QuantEncoding, QuantModel};
+    pub use crate::quant::QuantModel;
     pub use crate::svm::{KernelKind, MatchMatrix, SvmModel, SvmParams};
     pub use crate::tree::{DecisionTree, SplitCriterion, TreeParams};
     pub use crate::tuning::{grid_search, GridSearchOutcome};

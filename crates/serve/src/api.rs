@@ -186,7 +186,7 @@ pub struct EndpointStatsRow {
 pub struct ModelStatsRow {
     /// Pinned key `name@version`.
     pub model: String,
-    /// Weight-tensor storage encoding (`f32`/`i8`/`f16`); absent when the
+    /// Weight-tensor storage encoding (`f32`/`i8`); absent when the
     /// version has since been deleted from the registry.
     pub encoding: Option<String>,
     /// Predict requests answered by this version.

@@ -79,8 +79,8 @@ pub struct ArtifactHead {
     pub version: u32,
     /// Model family tag (`tree`, `svm`, ...).
     pub family: String,
-    /// Weight-tensor storage encoding (`f32` for full precision, `i8`/`f16`
-    /// for quantized payloads).
+    /// Weight-tensor storage encoding (`f32` for full precision, `i8` for
+    /// quantized payloads).
     pub encoding: String,
     /// Feature-config name (`NoJoin`, `JoinAll`, ...).
     pub config: String,
@@ -448,7 +448,7 @@ fn quant_section_json(model: &AnyClassifier) -> Option<String> {
                 .tensor_info()
                 .iter()
                 .map(|(name, len, bytes, scale)| {
-                    let mut fields = vec![
+                    serde::Value::Obj(vec![
                         ("name".into(), serde::Value::Str((*name).into())),
                         (
                             "len".into(),
@@ -458,17 +458,17 @@ fn quant_section_json(model: &AnyClassifier) -> Option<String> {
                             "bytes".into(),
                             serde::Value::Num(serde::Number::UInt(*bytes as u64)),
                         ),
-                    ];
-                    if let Some(s) = scale {
-                        fields.push(("scale".into(), serde::Value::Num(serde::Number::Float(*s))));
-                    }
-                    serde::Value::Obj(fields)
+                        (
+                            "scale".into(),
+                            serde::Value::Num(serde::Number::Float(*scale)),
+                        ),
+                    ])
                 })
                 .collect();
             let value = serde::Value::Obj(vec![
                 (
                     "encoding".into(),
-                    serde::Value::Str(q.encoding.name().into()),
+                    serde::Value::Str(hamlet_ml::quant::ENCODING.into()),
                 ),
                 ("tensors".into(), serde::Value::Arr(tensors)),
             ]);

@@ -12,7 +12,7 @@
 //!                    [--concurrency 16] --body-template JSON-with-{i}
 //! hamlet-serve blast --conns 256 --duration 5 [--active 16] --body-template JSON
 //! hamlet-serve artifact inspect <path>
-//! hamlet-serve artifact convert <src> --quantize i8|f16 [--dir DIR]
+//! hamlet-serve artifact convert <src> --quantize i8 [--dir DIR]
 //! hamlet-serve artifact diff <a> <b>
 //! hamlet-serve cascade build --tiers <cheap.bin,top.bin> [--target-p 0.95]
 //! hamlet-serve datasets
@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use hamlet_core::feature_config::FeatureConfig;
 use hamlet_core::model_zoo::ModelSpec;
+use hamlet_ml::quant::ENCODING;
 use hamlet_serve::api::TrainRequest;
 use hamlet_serve::artifact::{LoadMode, ModelArtifact, FORMAT_VERSION};
 use hamlet_serve::http::ServerOptions;
@@ -59,7 +60,7 @@ USAGE:
     hamlet-serve rollout <status|start|abort> [--addr <ADDR>]
                          [--candidate <KEY> | --refresh <NAME>] [--slice <PCT>]
     hamlet-serve artifact inspect <PATH>
-    hamlet-serve artifact convert <SRC> --quantize i8|f16
+    hamlet-serve artifact convert <SRC> --quantize i8
                                   [--sample-rows <N>] [--dir <DIR>]
     hamlet-serve artifact diff <A> <B>
     hamlet-serve cascade build --tiers <PATH,PATH[,PATH...]>
@@ -131,10 +132,10 @@ BLAST:    fires --requests POSTs at --path from --concurrency parallel
 
 ARTIFACT: inspect prints a file's format, sections, weight encoding and
           header without loading the model (quantized artifacts also list
-          per-tensor encodings, byte sizes and scales); convert
-          --quantize i8|f16 rewrites the weight tensors (per-tensor
-          symmetric i8, or IEEE half precision) into a NEW artifact named
-          `<name>-<enc>` and reports the size ratio plus a
+          per-tensor byte sizes and scales); convert --quantize i8
+          rewrites the weight tensors (per-tensor symmetric i8, a size
+          option, not a speed one) into a NEW artifact named
+          `<name>-i8` and reports the size ratio plus a
           prediction-agreement estimate against the source model on
           --sample-rows (default 512) deterministic in-domain rows; diff
           reports added/removed features, cardinality changes and
@@ -1023,7 +1024,7 @@ fn cmd_artifact(positional: &[String], flags: &HashMap<String, String>) -> Resul
         }
         Some("convert") => {
             let [src] = &positional[1..] else {
-                return Err("usage: artifact convert <SRC> --quantize i8|f16 [--dir <DIR>]".into());
+                return Err("usage: artifact convert <SRC> --quantize i8 [--dir <DIR>]".into());
             };
             artifact_convert(Path::new(src), flags)
         }
@@ -1109,15 +1110,16 @@ fn artifact_inspect(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// `convert --quantize i8|f16`: rewrite the weight tensors into a NEW
-/// artifact named `<name>-<enc>` (same version) and report the size ratio
+/// `convert --quantize i8`: rewrite the weight tensors into a NEW
+/// artifact named `<name>-i8` (same version) and report the size ratio
 /// plus a prediction-agreement estimate on deterministic in-domain rows.
 fn artifact_convert(src: &Path, flags: &HashMap<String, String>) -> Result<(), String> {
     let spec = flags
         .get("quantize")
-        .ok_or("artifact convert needs --quantize i8|f16")?;
-    let enc = hamlet_ml::quant::QuantEncoding::parse(spec)
-        .ok_or_else(|| format!("bad --quantize `{spec}` (i8|f16)"))?;
+        .ok_or("artifact convert needs --quantize i8")?;
+    if spec != ENCODING {
+        return Err(format!("bad --quantize `{spec}` (only i8 is supported)"));
+    }
     let sample_rows: usize = match flags.get("sample-rows") {
         Some(n) => n.parse().map_err(|_| format!("bad --sample-rows `{n}`"))?,
         None => 512,
@@ -1132,11 +1134,11 @@ fn artifact_convert(src: &Path, flags: &HashMap<String, String>) -> Result<(), S
     let mut quantized = artifact.clone();
     quantized.model = artifact
         .model
-        .quantize(enc)
+        .quantize()
         .map_err(|e| format!("quantizing {}: {e}", artifact.key()))?;
     // A distinct name, never an in-place downgrade: the f32 original stays
     // servable next to its quantized sibling.
-    quantized.name = format!("{}-{}", artifact.name, enc.name());
+    quantized.name = format!("{}-{ENCODING}", artifact.name);
 
     let cards: Vec<u32> = artifact.features().iter().map(|f| f.cardinality).collect();
     let d = cards.len();
@@ -1160,7 +1162,7 @@ fn artifact_convert(src: &Path, flags: &HashMap<String, String>) -> Result<(), S
         src.display(),
         dst.display(),
         src_len as f64 / dst_len.max(1) as f64,
-        enc.name()
+        ENCODING
     );
     Ok(())
 }

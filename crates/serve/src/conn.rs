@@ -37,7 +37,7 @@
 //! while a dead peer is reaped.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
@@ -597,15 +597,7 @@ impl Conn {
     /// Socket is writable (or a flush is being attempted opportunistically).
     pub(crate) fn on_writable(&mut self, now: Instant) -> Verdict {
         while self.wants_flush() {
-            let wrote = if self.opts.vectored_writes {
-                self.writev_step()
-            } else {
-                // Comparison path (`--no-writev` / benches): one plain
-                // write per segment, resuming mid-segment like writev.
-                let front = self.out.front().expect("wants_flush ⇒ segment");
-                self.stream.write(&front[self.out_pos..])
-            };
-            match wrote {
+            match self.writev_step() {
                 Ok(0) => return Verdict::Close,
                 Ok(n) => {
                     self.consume_out(n);

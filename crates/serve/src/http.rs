@@ -87,10 +87,6 @@ pub struct ServerOptions {
     /// fails), its own epoll instance, and its own timer wheel. Default:
     /// `min(4, cores/4).max(1)`, overridable with `HAMLET_REACTORS`.
     pub reactors: usize,
-    /// Flush response segments with one `writev` of header+body iovecs
-    /// per syscall (default). Off, each segment takes its own `write` —
-    /// kept as a bench/debug comparison knob, byte-identical output.
-    pub vectored_writes: bool,
     /// Shared sink for per-reactor connection gauges and per-model fair
     /// queue depths; the server installs its reactors/dispatcher into it
     /// at bind, and telemetry exporters read it. `None` works fine — the
@@ -149,7 +145,6 @@ impl Default for ServerOptions {
             queue_gauge: gauge_predicts,
             on_tick: None,
             reactors: default_reactors(),
-            vectored_writes: true,
             net_stats: None,
         }
     }

@@ -57,8 +57,7 @@ pub struct ModelSummary {
     pub version: u32,
     /// Model family tag (`tree`, `svm`, ...).
     pub family: String,
-    /// Weight-tensor storage encoding (`f32`, or `i8`/`f16` when
-    /// quantized).
+    /// Weight-tensor storage encoding (`f32`, or `i8` when quantized).
     pub encoding: String,
     /// Feature-config name (`NoJoin`, `JoinAll`, ...).
     pub config: String,
