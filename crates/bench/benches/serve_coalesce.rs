@@ -4,8 +4,8 @@
 //! Two vantage points:
 //!
 //! - `exec_*` — the executor boundary in isolation: N independent 1-row
-//!   requests through the solo path (`execute_predict`, paying latency
-//!   cell + fan-out budget + EWMA bookkeeping per request) vs. one merged
+//!   requests through the solo path (`execute_predict`, paying the model
+//!   cell lookup + fan-out budget + EWMA bookkeeping per request) vs. one merged
 //!   `execute_batch` over the same rows. This is the pure dispatch
 //!   amortization, visible even on a single core.
 //! - `http_*` — end to end over real sockets: a saturation round of small

@@ -2,9 +2,9 @@
 //!
 //! Production traffic on `/v1/predict` is overwhelmingly *many tiny
 //! bodies* — one row from each of thousands of clients — not a few big
-//! batches. Served naively, every such request pays full dispatch (latency
-//! cell, fan-out budget, a solo `predict` call too small to shard), so the
-//! batch-parallel machinery sits idle exactly when load is highest. The
+//! batches. Served naively, every such request pays full dispatch (EWMA
+//! bookkeeping, fan-out budget, a solo `predict` call too small to shard),
+//! so the batch-parallel machinery sits idle exactly when load is highest. The
 //! coalescer fixes that by merging **concurrent in-flight requests that
 //! resolved the same artifact** into one sharded batch predict:
 //!
@@ -23,7 +23,11 @@
 //!   prediction is stateless, so each response is **bit-identical** to the
 //!   uncoalesced execution.
 //!
-//! The window is **fed by the per-model ns/row EWMA** (`AppState::latency`)
+//! Each model's merge point (its lane) lives in that model's serving cell,
+//! [`ModelStats`], which the handler resolves once per request and hands to
+//! [`Coalescer::submit`]; the coalescer keeps no map of its own.
+//!
+//! The window is **fed by the per-model ns/row EWMA** held in the same cell
 //! rather than fixed: there is no point holding a batch open longer than
 //! the work itself costs, so for a cheap model (a tree at tens of ns/row)
 //! the effective window collapses to roughly the cost of a full batch,
@@ -49,13 +53,13 @@
 //! predict unwinds the batch, whose responders then answer 500 from their
 //! destructors — one poisoned batch never wedges a connection.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::artifact::ModelArtifact;
 use crate::http::Responder;
+use crate::telemetry::ModelStats;
 
 /// Tuning for the predict coalescer.
 #[derive(Debug, Clone, Copy)]
@@ -178,9 +182,10 @@ pub enum Submitted {
     Solo(PendingPredict),
 }
 
-/// An open-or-idle merge point for one resolved model key.
+/// An open-or-idle merge point for one resolved model key, held in that
+/// model's [`ModelStats`] cell.
 #[derive(Debug, Default)]
-struct Lane {
+pub(crate) struct Lane {
     state: Mutex<LaneState>,
     joined: Condvar,
 }
@@ -218,13 +223,6 @@ pub struct Coalescer {
     /// its `Telemetry` handle so `/healthz`, `/v1/stats` and `/metrics`
     /// all read the same accounting.
     pub stats: Arc<CoalesceStats>,
-    /// One lane per resolved model key, resolved through the same
-    /// lock-free snapshot technique as the registry's latest index — the
-    /// hot path must not reintroduce a global mutex just to clone a lane
-    /// `Arc`. The mutex only serializes first-seen-key inserts (once per
-    /// model, ever), under which the snapshot is republished.
-    lanes: crate::swap::ArcSwapCell<HashMap<String, Arc<Lane>>>,
-    lanes_mut: Mutex<()>,
 }
 
 /// Leader wake-up cadence while holding a batch open: short enough to
@@ -242,12 +240,6 @@ const LONELY_LEAD_THRESHOLD: u32 = 4;
 /// `LONELY_RETRY_EVERY` requests.
 const LONELY_RETRY_EVERY: u32 = 16;
 
-/// When a new-key insert finds this many lanes, idle ones (no thread
-/// holding them, no open batch) are pruned first. Lanes are keyed by
-/// `name@version`, so a periodically retrained model would otherwise leak
-/// one lane per superseded version for the process lifetime.
-const LANES_GC_THRESHOLD: usize = 256;
-
 impl Coalescer {
     /// A coalescer with the given tuning and its own counter block.
     pub fn new(config: CoalesceConfig) -> Self {
@@ -257,45 +249,7 @@ impl Coalescer {
     /// A coalescer recording into an externally owned counter block
     /// (telemetry's, in the server).
     pub fn with_stats(config: CoalesceConfig, stats: Arc<CoalesceStats>) -> Self {
-        Coalescer {
-            config,
-            stats,
-            lanes: crate::swap::ArcSwapCell::new(Some(Arc::new(HashMap::new()))),
-            lanes_mut: Mutex::new(()),
-        }
-    }
-
-    /// The lane for a resolved model key: lock-free once the key has been
-    /// seen; a copy-on-write snapshot republish (serialized on
-    /// `lanes_mut`) the first time.
-    fn lane(&self, key: &str) -> Arc<Lane> {
-        let snapshot = self.lanes.load().expect("lane snapshot always present");
-        if let Some(lane) = snapshot.get(key) {
-            return Arc::clone(lane);
-        }
-        let _writer = self.lanes_mut.lock().expect("coalescer lanes poisoned");
-        // Re-check under the insert lock: another thread may have won.
-        let snapshot = self.lanes.load().expect("lane snapshot always present");
-        if let Some(lane) = snapshot.get(key) {
-            return Arc::clone(lane);
-        }
-        let lane = Arc::new(Lane::default());
-        let mut next = (*snapshot).clone();
-        if next.len() >= LANES_GC_THRESHOLD {
-            // Drop idle lanes (no open batch, not locked this instant).
-            // Pruning is always *correctness*-safe: a racing submit that
-            // cloned its lane from the old snapshot keeps the detached
-            // lane and finishes normally — worst case two batches briefly
-            // coexist for one key, which costs a missed merge, never a
-            // wrong answer. `try_lock` keeps this sweep non-blocking.
-            next.retain(|_, l| match l.state.try_lock() {
-                Ok(state) => state.open.is_some(),
-                Err(_) => true, // in use right now: keep
-            });
-        }
-        next.insert(key.to_string(), Arc::clone(&lane));
-        self.lanes.store(Some(Arc::new(next)));
-        lane
+        Coalescer { config, stats }
     }
 
     /// A disabled coalescer (every request runs solo).
@@ -335,23 +289,22 @@ impl Coalescer {
 
     /// Routes one validated request: merge into an open batch, lead a new
     /// one, or run solo. May block for up to the effective window (leader
-    /// path only). `key` is the artifact's resolved `name@version` (passed
-    /// in so the hot path computes it exactly once); `ewma_ns_per_row` is
-    /// the model's observed sequential per-row cost, if any.
+    /// path only). `cell` is the artifact's serving cell, resolved once by
+    /// the caller: its lane is where the merge happens, and its per-row
+    /// cost EWMA sizes the window.
     pub fn submit(
         &self,
-        key: &str,
+        cell: &ModelStats,
         artifact: &Arc<ModelArtifact>,
         d: usize,
         part: PendingPredict,
-        ewma_ns_per_row: Option<f64>,
     ) -> Submitted {
         let n = part.rows.len() / d.max(1);
         if !self.enabled() || n >= self.config.max_rows {
             self.stats.solo_requests.fetch_add(1, Ordering::Relaxed);
             return Submitted::Solo(part);
         }
-        let lane = self.lane(key);
+        let lane = &cell.lane;
         let mut state = lane.state.lock().expect("coalescer lane poisoned");
         if let Some(open) = state.open.as_mut() {
             // An identity (not just key) match: a hot-swap racing this
@@ -401,7 +354,7 @@ impl Coalescer {
             total_rows: n,
             parts: vec![part],
         });
-        let deadline = Instant::now() + self.effective_window(ewma_ns_per_row);
+        let deadline = Instant::now() + self.effective_window(cell.ns_per_row());
         let why = loop {
             let open = state.open.as_ref().expect("leader owns the open batch");
             if open.total_rows >= self.config.max_rows {
@@ -504,11 +457,12 @@ mod tests {
     #[test]
     fn disabled_and_oversized_requests_run_solo() {
         let artifact = Arc::new(toy_artifact("solo", 1));
+        let cell = ModelStats::default();
         let off = Coalescer::disabled();
         assert!(!off.enabled());
         let (p, _rx) = part(vec![0, 0], 8);
         assert!(matches!(
-            off.submit(&artifact.key(), &artifact, 2, p, None),
+            off.submit(&cell, &artifact, 2, p),
             Submitted::Solo(_)
         ));
 
@@ -519,7 +473,7 @@ mod tests {
         // 4 rows ≥ max_rows: shards fine on its own, no merge.
         let (p, _rx) = part(vec![0; 8], 8);
         assert!(matches!(
-            on.submit(&artifact.key(), &artifact, 2, p, None),
+            on.submit(&cell, &artifact, 2, p),
             Submitted::Solo(_)
         ));
         assert_eq!(on.stats.snapshot().solo_requests, 1);
@@ -528,6 +482,7 @@ mod tests {
     #[test]
     fn lone_requests_skip_the_window_entirely() {
         let artifact = Arc::new(toy_artifact("lone", 1));
+        let cell = ModelStats::default();
         let c = Coalescer::new(CoalesceConfig {
             window: Duration::from_secs(5), // would be very visible
             max_rows: 512,
@@ -535,7 +490,7 @@ mod tests {
         let (p, _rx) = part(vec![0, 0], 1); // queue depth 1: nothing pending
         let t0 = Instant::now();
         assert!(matches!(
-            c.submit(&artifact.key(), &artifact, 2, p, None),
+            c.submit(&cell, &artifact, 2, p),
             Submitted::Solo(_)
         ));
         assert!(
@@ -547,6 +502,7 @@ mod tests {
     #[test]
     fn window_timeout_flushes_a_lonely_leader() {
         let artifact = Arc::new(toy_artifact("timeout", 1));
+        let cell = ModelStats::default();
         let c = Coalescer::new(CoalesceConfig {
             window: Duration::from_millis(30),
             max_rows: 512,
@@ -555,7 +511,7 @@ mod tests {
         // the leader flushes alone at the window.
         let (p, _rx) = part(vec![0, 0], 2);
         let t0 = Instant::now();
-        let Submitted::Flush(batch) = c.submit(&artifact.key(), &artifact, 2, p, None) else {
+        let Submitted::Flush(batch) = c.submit(&cell, &artifact, 2, p) else {
             panic!("expected leader flush");
         };
         assert!(
@@ -570,6 +526,7 @@ mod tests {
     #[test]
     fn followers_merge_into_the_leaders_batch_until_full() {
         let artifact = Arc::new(toy_artifact("merge", 1));
+        let cell = ModelStats::default();
         let c = Arc::new(Coalescer::new(CoalesceConfig {
             window: Duration::from_secs(10), // flush must come from `Full`
             max_rows: 4,
@@ -577,17 +534,18 @@ mod tests {
         std::thread::scope(|scope| {
             let leader = {
                 let c = Arc::clone(&c);
+                let cell = &cell;
                 let artifact = Arc::clone(&artifact);
                 scope.spawn(move || {
                     let (p, _rx) = part(vec![0, 0], 4);
-                    c.submit(&artifact.key(), &artifact, 2, p, None)
+                    c.submit(cell, &artifact, 2, p)
                 })
             };
             // Give the leader time to open the batch, then fill it.
             std::thread::sleep(Duration::from_millis(50));
             for _ in 0..3 {
                 let (p, _rx) = part(vec![1, 1], 4);
-                match c.submit(&artifact.key(), &artifact, 2, p, None) {
+                match c.submit(&cell, &artifact, 2, p) {
                     Submitted::Joined => {}
                     other => panic!("expected follower join, got {other:?}"),
                 }
@@ -610,6 +568,8 @@ mod tests {
         // must fall back to solo, not merge into the stale batch.
         let a1 = Arc::new(toy_artifact("same", 1));
         let a2 = Arc::new(toy_artifact("same", 1));
+        // Both artifacts resolve the same key, so they share one cell.
+        let cell = ModelStats::default();
         let c = Arc::new(Coalescer::new(CoalesceConfig {
             window: Duration::from_millis(200),
             max_rows: 8,
@@ -617,16 +577,17 @@ mod tests {
         std::thread::scope(|scope| {
             let leader = {
                 let c = Arc::clone(&c);
+                let cell = &cell;
                 let a1 = Arc::clone(&a1);
                 scope.spawn(move || {
                     let (p, _rx) = part(vec![0, 0], 2);
-                    c.submit(&a1.key(), &a1, 2, p, None)
+                    c.submit(cell, &a1, 2, p)
                 })
             };
             std::thread::sleep(Duration::from_millis(50));
             let (p, _rx) = part(vec![1, 1], 2);
             assert!(
-                matches!(c.submit(&a2.key(), &a2, 2, p, None), Submitted::Solo(_)),
+                matches!(c.submit(&cell, &a2, 2, p), Submitted::Solo(_)),
                 "identity mismatch must not merge"
             );
             assert!(matches!(leader.join().unwrap(), Submitted::Flush(_)));
@@ -636,6 +597,7 @@ mod tests {
     #[test]
     fn lonely_lanes_damp_to_solo_and_recover_on_a_real_merge() {
         let artifact = Arc::new(toy_artifact("damp", 1));
+        let cell = ModelStats::default();
         let c = Coalescer::new(CoalesceConfig {
             window: Duration::from_millis(15),
             max_rows: 512,
@@ -646,10 +608,7 @@ mod tests {
         for i in 0..LONELY_LEAD_THRESHOLD {
             let (p, _rx) = part(vec![0, 0], 2);
             assert!(
-                matches!(
-                    c.submit(&artifact.key(), &artifact, 2, p, None),
-                    Submitted::Flush(_)
-                ),
+                matches!(c.submit(&cell, &artifact, 2, p), Submitted::Flush(_)),
                 "request {i} should still lead"
             );
         }
@@ -658,10 +617,7 @@ mod tests {
         let mut solos = 0;
         for _ in 0..LONELY_RETRY_EVERY - 1 {
             let (p, _rx) = part(vec![0, 0], 2);
-            if matches!(
-                c.submit(&artifact.key(), &artifact, 2, p, None),
-                Submitted::Solo(_)
-            ) {
+            if matches!(c.submit(&cell, &artifact, 2, p), Submitted::Solo(_)) {
                 solos += 1;
             }
         }
@@ -674,10 +630,7 @@ mod tests {
         // The periodic exploratory lead comes back around...
         let retried = (0..3).any(|_| {
             let (p, _rx) = part(vec![0, 0], 2);
-            matches!(
-                c.submit(&artifact.key(), &artifact, 2, p, None),
-                Submitted::Flush(_)
-            )
+            matches!(c.submit(&cell, &artifact, 2, p), Submitted::Flush(_))
         });
         assert!(retried, "damping must keep probing for concurrency");
         // ...and one real merge resets the lane to fully eager. (The
@@ -685,30 +638,28 @@ mod tests {
         // again: drain a full retry cycle first so the next submit leads.)
         for _ in 0..LONELY_RETRY_EVERY {
             let (p, _rx) = part(vec![0, 0], 2);
-            let _ = c.submit(&artifact.key(), &artifact, 2, p, None);
+            let _ = c.submit(&cell, &artifact, 2, p);
         }
         std::thread::scope(|scope| {
             let leader = {
                 let c = &c;
+                let cell = &cell;
                 let artifact = Arc::clone(&artifact);
                 scope.spawn(move || {
                     let (p, _rx) = part(vec![0, 0], 2);
-                    c.submit(&artifact.key(), &artifact, 2, p, None)
+                    c.submit(cell, &artifact, 2, p)
                 })
             };
             std::thread::sleep(Duration::from_millis(5));
             let (p, _rx) = part(vec![1, 1], 2);
             // May join the leader's batch (or miss the window and lead a
             // lonely batch itself; either way the leader's flush counts).
-            let _ = c.submit(&artifact.key(), &artifact, 2, p, None);
+            let _ = c.submit(&cell, &artifact, 2, p);
             leader.join().unwrap();
         });
         let (p, _rx) = part(vec![0, 0], 2);
         assert!(
-            matches!(
-                c.submit(&artifact.key(), &artifact, 2, p, None),
-                Submitted::Flush(_)
-            ),
+            matches!(c.submit(&cell, &artifact, 2, p), Submitted::Flush(_)),
             "a successful merge resets the damping"
         );
     }

@@ -33,7 +33,6 @@
 //!   and handler panics are confined to the request that caused them.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -81,11 +80,11 @@ pub struct ServerOptions {
     /// thread, so it must be brief and non-blocking; cadence is quantized
     /// to the wheel's slot width (~half a second).
     pub on_tick: Option<AppTick>,
-    /// Reactor (event-loop) threads sharing the accept load. With more
-    /// than one, each reactor gets its own `SO_REUSEPORT` listening socket
-    /// (falling back to an accept-and-deal topology where that bind
-    /// fails), its own epoll instance, and its own timer wheel. Default:
-    /// `min(4, cores/4).max(1)`, overridable with `HAMLET_REACTORS`.
+    /// Reactor (event-loop) threads sharing the accept load. Each reactor
+    /// gets its own listening socket (`SO_REUSEPORT`-sharded when there is
+    /// more than one), its own epoll instance, and its own timer wheel.
+    /// Default: `min(4, cores/4).max(1)`, overridable with
+    /// `HAMLET_REACTORS`.
     pub reactors: usize,
     /// Shared sink for per-reactor connection gauges and per-model fair
     /// queue depths; the server installs its reactors/dispatcher into it
@@ -748,7 +747,7 @@ impl Server {
     /// Binds `addr` and starts the reactor fleet + executor pool with
     /// explicit [`ServerOptions`].
     pub fn bind_with(addr: &str, handler: Handler, opts: ServerOptions) -> std::io::Result<Server> {
-        use crate::reactor::{AcceptRole, ReactorConfig, Waker};
+        use crate::reactor::{ReactorConfig, Waker};
         let n = opts.reactors.max(1);
         let opts = Arc::new(opts);
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -757,38 +756,9 @@ impl Server {
             .map(|_| Waker::new().map(Arc::new))
             .collect::<std::io::Result<_>>()?;
 
-        // Listening topology: single listener when single-reactor; one
-        // SO_REUSEPORT shard per reactor otherwise, falling back to
-        // accept-and-deal (reactor 0 owns the listener) if that bind fails.
-        let mut roles: Vec<AcceptRole> = Vec::with_capacity(n);
-        let local;
-        if n == 1 {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            local = listener.local_addr()?;
-            roles.push(AcceptRole::Shard(listener));
-        } else {
-            match crate::reactor::reuseport_listeners(addr, n) {
-                Ok(listeners) => {
-                    local = listeners[0].local_addr()?;
-                    roles.extend(listeners.into_iter().map(AcceptRole::Shard));
-                }
-                Err(_) => {
-                    let listener = TcpListener::bind(addr)?;
-                    listener.set_nonblocking(true)?;
-                    local = listener.local_addr()?;
-                    let mut siblings = Vec::with_capacity(n - 1);
-                    let mut members = Vec::with_capacity(n - 1);
-                    for waker in wakers.iter().skip(1) {
-                        let (tx, rx) = std::sync::mpsc::channel();
-                        siblings.push((tx, Arc::clone(waker)));
-                        members.push(AcceptRole::Member(rx));
-                    }
-                    roles.push(AcceptRole::Owner { listener, siblings });
-                    roles.extend(members);
-                }
-            }
-        }
+        // One listener per reactor, all built the same way whatever `n`.
+        let listeners = crate::reactor::bind_listeners(addr, n)?;
+        let local = listeners[0].local_addr()?;
 
         let dispatcher = Arc::new(Dispatcher::new(n));
         let stats: Vec<Arc<ReactorStats>> =
@@ -827,14 +797,14 @@ impl Server {
             })
             .collect();
 
-        let reactors = roles
+        let reactors = listeners
             .into_iter()
             .zip(completion_rxs)
             .enumerate()
-            .map(|(index, (role, completions))| {
+            .map(|(index, (listener, completions))| {
                 let cfg = ReactorConfig {
                     index,
-                    role,
+                    listener,
                     dispatcher: Arc::clone(&dispatcher),
                     completions,
                     waker: Arc::clone(&wakers[index]),

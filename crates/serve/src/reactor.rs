@@ -1,5 +1,6 @@
 //! Event-driven reactors: N threads, each multiplexing a shard of the
-//! connections over its own raw `epoll` instance.
+//! connections over its own raw `epoll` instance and accepting on its own
+//! listening socket.
 //!
 //! No async runtime and no FFI crate are available offline, so the handful
 //! of syscalls we need (`epoll_create1` / `epoll_ctl` / `epoll_wait`,
@@ -8,6 +9,10 @@
 //! Rust binary on Linux already links. Everything above the syscall
 //! boundary is safe Rust:
 //!
+//! - [`bind_listeners`] — one listening socket per reactor, all on one
+//!   address with a 1024-connection backlog; with more than one they are
+//!   bound with `SO_REUSEPORT`, so the kernel load-balances accepts across
+//!   reactors with zero cross-thread coordination;
 //! - [`Epoll`] — an owned epoll instance with add/modify/delete/wait;
 //! - [`Waker`] — an `eventfd` the executor pool writes to when a response
 //!   is ready, so a reactor wakes from `epoll_wait` without a timeout
@@ -24,22 +29,13 @@
 //!   finished responses for write-readiness-driven flushing, and reap
 //!   expired connections.
 //!
-//! **Sharded accept.** With `--reactors N > 1` each reactor gets its own
-//! listening socket bound with `SO_REUSEPORT`, so the kernel load-balances
-//! accepts across reactors with zero cross-thread coordination
-//! ([`AcceptRole::Shard`]). Where that bind fails (non-Linux-y kernels,
-//! IPv6 targets), reactor 0 falls back to owning the single listener and
-//! dealing accepted streams round-robin to its siblings over per-reactor
-//! channels, waking each over its eventfd ([`AcceptRole::Owner`] /
-//! [`AcceptRole::Member`]).
-//!
 //! **`EPOLLONESHOT` everywhere.** Every connection fd is registered
 //! one-shot: the kernel disarms it on delivery, and the owning reactor
 //! re-arms (`EPOLL_CTL_MOD`) only after the connection's state step
 //! completes. That makes each readiness cycle race-free by construction —
 //! no second event can arrive while one is being processed — which is what
 //! keeps connection state transitions safe no matter which path (I/O
-//! event, executor completion, handoff adoption) touched the `Conn` last.
+//! event, executor completion) touched the `Conn` last.
 //!
 //! A reactor thread never runs a handler and never blocks on a socket:
 //! slow clients cost a buffer, idle keep-alive clients cost a file
@@ -52,7 +48,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::raw::{c_int, c_uint};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,6 +72,7 @@ const EFD_NONBLOCK: c_int = 0x800;
 const EFD_CLOEXEC: c_int = 0x80000;
 
 const AF_INET: c_int = 2;
+const AF_INET6: c_int = 10;
 const SOCK_STREAM: c_int = 1;
 const SOCK_NONBLOCK: c_int = 0x800;
 const SOCK_CLOEXEC: c_int = 0x80000;
@@ -101,6 +98,17 @@ struct SockAddrIn {
     sin_zero: [u8; 8],
 }
 
+/// Mirror of `struct sockaddr_in6` (28 bytes); the port is big-endian on
+/// the wire and the address is its 16 network-order bytes.
+#[repr(C)]
+struct SockAddrIn6 {
+    sin6_family: u16,
+    sin6_port: u16,
+    sin6_flowinfo: u32,
+    sin6_addr: [u8; 16],
+    sin6_scope_id: u32,
+}
+
 /// Mirror of `struct epoll_event`. The kernel ABI packs this to 12 bytes on
 /// x86-64 (and only there), hence the conditional `repr(packed)`.
 #[repr(C)]
@@ -119,43 +127,43 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     pub(crate) fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn bind(fd: c_int, addr: *const SockAddrIn, len: c_uint) -> c_int;
+    fn bind(fd: c_int, addr: *const std::ffi::c_void, len: c_uint) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_int, len: c_uint) -> c_int;
 }
 
-/// Bind `n` listening sockets to the same IPv4 address with
-/// `SO_REUSEPORT`, so the kernel shards incoming connections across them.
-/// Port 0 is resolved once (first socket) and reused for the rest, so all
-/// shards share the ephemeral port. Any failure — including a non-IPv4
-/// target — reports an error and the caller falls back to the
-/// accept-and-deal topology.
-pub(crate) fn reuseport_listeners(addr: &str, n: usize) -> std::io::Result<Vec<TcpListener>> {
+/// Binds one listening socket per reactor, `n` in all, to the first
+/// address `addr` resolves to (IPv4 or IPv6), each with a backlog of 1024.
+/// With `n > 1` every socket sets `SO_REUSEPORT`, so the kernel shards
+/// incoming connections across them; a lone socket does not, so binding a
+/// port another listener holds fails with `EADDRINUSE`. Port 0 is resolved
+/// once (first socket) and reused for the rest, so all shards share the
+/// ephemeral port.
+pub(crate) fn bind_listeners(addr: &str, n: usize) -> std::io::Result<Vec<TcpListener>> {
     use std::net::{SocketAddr, ToSocketAddrs};
-    let sa = addr
-        .to_socket_addrs()?
-        .find_map(|a| match a {
-            SocketAddr::V4(v4) => Some(v4),
-            SocketAddr::V6(_) => None,
-        })
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "SO_REUSEPORT sharding requires an IPv4 address",
-            )
-        })?;
-    let mut port = sa.port();
+    let mut sa = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("`{addr}` resolves to no address"),
+        )
+    })?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+        let family = if sa.is_ipv4() { AF_INET } else { AF_INET6 };
+        let fd = unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
         if fd < 0 {
             return Err(std::io::Error::last_os_error());
         }
         // SAFETY: freshly created socket fd we exclusively own; wrapping
         // first makes every error path below close it on drop.
         let listener = unsafe { TcpListener::from_raw_fd(fd) };
+        let opts: &[c_int] = if n > 1 {
+            &[SO_REUSEADDR, SO_REUSEPORT]
+        } else {
+            &[SO_REUSEADDR]
+        };
         let one: c_int = 1;
-        for opt in [SO_REUSEADDR, SO_REUSEPORT] {
+        for &opt in opts {
             let rc = unsafe {
                 setsockopt(
                     fd,
@@ -169,20 +177,37 @@ pub(crate) fn reuseport_listeners(addr: &str, n: usize) -> std::io::Result<Vec<T
                 return Err(std::io::Error::last_os_error());
             }
         }
-        let sin = SockAddrIn {
-            sin_family: AF_INET as u16,
-            sin_port: port.to_be(),
-            sin_addr: u32::from(*sa.ip()).to_be(),
-            sin_zero: [0; 8],
+        let rc = match sa {
+            SocketAddr::V4(v4) => {
+                let sin = SockAddrIn {
+                    sin_family: AF_INET as u16,
+                    sin_port: v4.port().to_be(),
+                    sin_addr: u32::from(*v4.ip()).to_be(),
+                    sin_zero: [0; 8],
+                };
+                let len = std::mem::size_of::<SockAddrIn>() as c_uint;
+                unsafe { bind(fd, (&sin as *const SockAddrIn).cast(), len) }
+            }
+            SocketAddr::V6(v6) => {
+                let sin6 = SockAddrIn6 {
+                    sin6_family: AF_INET6 as u16,
+                    sin6_port: v6.port().to_be(),
+                    sin6_flowinfo: v6.flowinfo(),
+                    sin6_addr: v6.ip().octets(),
+                    sin6_scope_id: v6.scope_id(),
+                };
+                let len = std::mem::size_of::<SockAddrIn6>() as c_uint;
+                unsafe { bind(fd, (&sin6 as *const SockAddrIn6).cast(), len) }
+            }
         };
-        if unsafe { bind(fd, &sin, std::mem::size_of::<SockAddrIn>() as c_uint) } < 0 {
+        if rc < 0 {
             return Err(std::io::Error::last_os_error());
         }
         if unsafe { listen(fd, 1024) } < 0 {
             return Err(std::io::Error::last_os_error());
         }
-        if port == 0 {
-            port = listener.local_addr()?.port();
+        if sa.port() == 0 {
+            sa.set_port(listener.local_addr()?.port());
         }
         out.push(listener);
     }
@@ -361,28 +386,13 @@ const OVERLOADED: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\n\
     Content-Type: application/json\r\nContent-Length: 36\r\n\
     Connection: close\r\n\r\n{\"error\":\"connection limit reached\"}";
 
-/// How one reactor gets its connections (see module docs).
-pub(crate) enum AcceptRole {
-    /// Own `SO_REUSEPORT` listening socket (or the only listener when
-    /// running single-reactor): the kernel shards accepts.
-    Shard(TcpListener),
-    /// Fallback topology: this reactor owns the single listener and deals
-    /// accepted streams round-robin to itself and every sibling, waking
-    /// each sibling over its eventfd.
-    Owner {
-        listener: TcpListener,
-        siblings: Vec<(Sender<TcpStream>, Arc<Waker>)>,
-    },
-    /// Fallback topology: no listener; adopts streams dealt by the owner.
-    Member(Receiver<TcpStream>),
-}
-
 /// Everything one reactor thread needs, bundled so [`run`] stays a
 /// single-argument spawn target.
 pub(crate) struct ReactorConfig {
     /// This reactor's index (0-based); index 0 drives `on_tick`.
     pub index: usize,
-    pub role: AcceptRole,
+    /// This reactor's own listening socket (see [`bind_listeners`]).
+    pub listener: TcpListener,
     pub dispatcher: Arc<Dispatcher>,
     pub completions: Receiver<Completion>,
     pub waker: Arc<Waker>,
@@ -407,8 +417,6 @@ struct Reactor {
     conns: HashMap<u64, Conn>,
     wheel: TimerWheel,
     next_token: u64,
-    /// Round-robin cursor for the `Owner` deal.
-    rr: usize,
 }
 
 /// One reactor's event loop. Owns a shard of the connections, its own
@@ -417,7 +425,7 @@ struct Reactor {
 pub(crate) fn run(cfg: ReactorConfig) {
     let ReactorConfig {
         index,
-        role,
+        listener,
         dispatcher,
         completions,
         waker,
@@ -442,15 +450,9 @@ pub(crate) fn run(cfg: ReactorConfig) {
         eprintln!("hamlet-serve reactor {index}: registering waker failed: {e}");
         return;
     }
-    let listener_fd = match &role {
-        AcceptRole::Shard(l) | AcceptRole::Owner { listener: l, .. } => Some(l.as_raw_fd()),
-        AcceptRole::Member(_) => None,
-    };
-    if let Some(fd) = listener_fd {
-        if let Err(e) = epoll.add(fd, TOKEN_LISTENER, EPOLLIN) {
-            eprintln!("hamlet-serve reactor {index}: registering listener failed: {e}");
-            return;
-        }
+    if let Err(e) = epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN) {
+        eprintln!("hamlet-serve reactor {index}: registering listener failed: {e}");
+        return;
     }
     let mut r = Reactor {
         index,
@@ -463,7 +465,6 @@ pub(crate) fn run(cfg: ReactorConfig) {
         conns: HashMap::new(),
         wheel: TimerWheel::new(now),
         next_token: FIRST_CONN_TOKEN,
-        rr: 0,
     };
     // Application ticks fire on exactly one reactor (the auto-demoter must
     // not run N× faster because the network plane got wider).
@@ -492,13 +493,7 @@ pub(crate) fn run(cfg: ReactorConfig) {
             let bits = ev.events;
             match token {
                 TOKEN_WAKER => waker.drain(),
-                TOKEN_LISTENER => match &role {
-                    AcceptRole::Shard(listener) => r.accept_ready(listener, &[], now),
-                    AcceptRole::Owner { listener, siblings } => {
-                        r.accept_ready(listener, siblings, now)
-                    }
-                    AcceptRole::Member(_) => {}
-                },
+                TOKEN_LISTENER => r.accept_ready(&listener, now),
                 _ => {
                     let Some(conn) = r.conns.get_mut(&token) else {
                         continue; // already closed this iteration
@@ -521,14 +516,6 @@ pub(crate) fn run(cfg: ReactorConfig) {
                     }
                     r.finish_step(token, verdict, now);
                 }
-            }
-        }
-
-        // Streams dealt by the owner reactor (fallback topology only); the
-        // owner wakes this reactor's eventfd after each send.
-        if let AcceptRole::Member(handoff) = &role {
-            while let Ok(stream) = handoff.try_recv() {
-                r.adopt(stream, now);
             }
         }
 
@@ -581,36 +568,11 @@ pub(crate) fn run(cfg: ReactorConfig) {
 }
 
 impl Reactor {
-    /// Accept every pending connection (level-triggered listener). With
-    /// siblings (the `Owner` fallback role), deal streams round-robin
-    /// across the whole fleet including this reactor.
-    fn accept_ready(
-        &mut self,
-        listener: &TcpListener,
-        siblings: &[(Sender<TcpStream>, Arc<Waker>)],
-        now: Instant,
-    ) {
+    /// Accept every pending connection (level-triggered listener).
+    fn accept_ready(&mut self, listener: &TcpListener, now: Instant) {
         loop {
             match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if siblings.is_empty() {
-                        self.adopt(stream, now);
-                        continue;
-                    }
-                    let target = self.rr % (siblings.len() + 1);
-                    self.rr = self.rr.wrapping_add(1);
-                    if target == 0 {
-                        self.adopt(stream, now);
-                        continue;
-                    }
-                    let (tx, waker) = &siblings[target - 1];
-                    match tx.send(stream) {
-                        Ok(()) => waker.wake(),
-                        // Sibling exited (shutdown mid-flight): keep the
-                        // stream local rather than dropping it.
-                        Err(back) => self.adopt(back.0, now),
-                    }
-                }
+                Ok((stream, _peer)) => self.adopt(stream, now),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {

@@ -19,7 +19,7 @@ use crate::registry::{ModelRegistry, RegistryNote};
 use crate::rollout::{
     ActiveRollout, Faults, GuardrailConfig, ObservedRow, RolloutPlane, ShadowCtx,
 };
-use crate::telemetry::{Endpoint, EventKind, OpsGauges, Telemetry};
+use crate::telemetry::{Endpoint, EventKind, ModelStats, OpsGauges, Telemetry};
 use crate::train::{train_and_register, train_incremental};
 
 /// Shared state behind every worker thread.
@@ -31,18 +31,16 @@ pub struct AppState {
     /// Shard cap for batch-parallel prediction (defaults to the machine's
     /// available parallelism). One request never fans out wider than this.
     pub predict_threads: usize,
-    /// Observed per-row predict latency per model (EWMA), feeding adaptive
-    /// shard sizing: each shard of a batch is cut to cost roughly
-    /// [`TARGET_SHARD_NANOS`] wall-clock instead of a fixed row count.
-    pub latency: LatencyTracker,
     /// Cross-request predict coalescer: concurrent small `/v1/predict`
     /// requests against the same resident model merge into one sharded
     /// fan-out at the executor boundary (see [`crate::coalesce`]).
     pub coalescer: Coalescer,
-    /// The ops plane: per-model/per-endpoint latency histograms and
-    /// counters, the audit-event trail, and the last-hit timestamps the
-    /// idle auto-demoter reads. The coalescer's counter block is shared
-    /// with this handle, so every surface reports one accounting.
+    /// The ops plane: per-endpoint latency histograms and counters, the
+    /// audit-event trail, and each model's serving cell
+    /// ([`Telemetry::model`]): its counters, the last-hit timestamp the
+    /// idle auto-demoter reads, the per-row cost EWMA behind adaptive shard
+    /// sizing, and its coalescer lane. The coalescer's counter block is
+    /// shared with this handle, so every surface reports one accounting.
     pub telemetry: Telemetry,
     /// Network-plane gauges (per-reactor connections, per-model fair queue
     /// depths). [`serve_with`] installs it into the server's options so
@@ -67,135 +65,6 @@ pub struct AppState {
     /// inside a training run can never poison the gate shut: the RAII
     /// release in [`TrainPermit`] runs during unwinding.
     train_gate: std::sync::atomic::AtomicBool,
-}
-
-/// Wall-clock budget per predict shard (250 µs). The adaptive shard size
-/// for a model is `TARGET_SHARD_NANOS / observed-ns-per-row`: cheap models
-/// (a tree at tens of ns/row) get huge shards so spawn overhead stays
-/// negligible, expensive ones (an RBF-SVM at tens of µs/row) get small
-/// shards so even mid-size batches use every core.
-pub const TARGET_SHARD_NANOS: f64 = 250_000.0;
-
-/// Clamp range for adaptive shard sizes: never shard finer than this many
-/// rows (spawn overhead dominates below it)...
-pub const MIN_ADAPTIVE_SHARD_ROWS: usize = 32;
-
-/// ...and never coarser than this (one shard must not starve the pool).
-pub const MAX_ADAPTIVE_SHARD_ROWS: usize = 65_536;
-
-/// EWMA smoothing factor for per-row latency observations.
-const LATENCY_EWMA_ALPHA: f64 = 0.2;
-
-/// When a new-key insert finds this many latency cells, cells no request
-/// currently holds are pruned (superseded model versions otherwise
-/// accumulate one cell each for the process lifetime).
-const LATENCY_CELLS_GC_THRESHOLD: usize = 256;
-
-/// Per-model EWMA of observed per-row predict latency.
-///
-/// Observations are recorded lock-free per model (an `AtomicU64` holding
-/// f64 bits, CAS-updated); the outer map takes a write lock only the first
-/// time a model is seen. The recorded value approximates *sequential*
-/// per-row cost: wall-clock × shards-used ÷ rows, so the estimate stays
-/// comparable whether a batch ran on one thread or sixteen.
-#[derive(Debug, Default)]
-pub struct LatencyTracker {
-    cells: std::sync::RwLock<std::collections::HashMap<String, Arc<std::sync::atomic::AtomicU64>>>,
-}
-
-/// One model's latency cell, resolved once per request: reading the shard
-/// size and folding the observation back in are plain atomic ops on it —
-/// no further map lookups or lock acquisitions on the predict hot path.
-#[derive(Debug, Clone)]
-pub struct LatencyCell(Arc<std::sync::atomic::AtomicU64>);
-
-impl LatencyCell {
-    /// Current EWMA (estimated sequential ns/row), if any observation was
-    /// recorded.
-    pub fn ns_per_row(&self) -> Option<f64> {
-        let bits = self.0.load(std::sync::atomic::Ordering::Relaxed);
-        (bits != 0).then(|| f64::from_bits(bits))
-    }
-
-    /// Folds one observation (estimated sequential ns/row) into the EWMA.
-    pub fn observe(&self, ns_per_row: f64) {
-        use std::sync::atomic::Ordering;
-        if !ns_per_row.is_finite() || ns_per_row <= 0.0 {
-            return;
-        }
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let old = f64::from_bits(cur);
-            let next = if old == 0.0 {
-                ns_per_row
-            } else {
-                LATENCY_EWMA_ALPHA * ns_per_row + (1.0 - LATENCY_EWMA_ALPHA) * old
-            };
-            match self.0.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Shard size (rows per extra thread) for this model: sized so one
-    /// shard costs ~[`TARGET_SHARD_NANOS`], clamped to
-    /// [[`MIN_ADAPTIVE_SHARD_ROWS`], [`MAX_ADAPTIVE_SHARD_ROWS`]]. Models
-    /// never observed yet use the library's fixed
-    /// [`hamlet_ml::any::MIN_ROWS_PER_SHARD`] floor.
-    pub fn shard_rows(&self) -> usize {
-        match self.ns_per_row() {
-            None => hamlet_ml::any::MIN_ROWS_PER_SHARD,
-            Some(ns) => ((TARGET_SHARD_NANOS / ns) as usize)
-                .clamp(MIN_ADAPTIVE_SHARD_ROWS, MAX_ADAPTIVE_SHARD_ROWS),
-        }
-    }
-}
-
-impl LatencyTracker {
-    /// Empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cell for a model key (read-lock lookup in steady state; a write
-    /// lock only the first time a model is seen).
-    pub fn cell(&self, key: &str) -> LatencyCell {
-        if let Some(cell) = self.cells.read().expect("latency lock poisoned").get(key) {
-            return LatencyCell(Arc::clone(cell));
-        }
-        let mut cells = self.cells.write().expect("latency lock poisoned");
-        if cells.len() >= LATENCY_CELLS_GC_THRESHOLD && !cells.contains_key(key) {
-            // Keys are `name@version`, so periodic retraining would grow
-            // the map by one superseded version forever. Cells held by an
-            // in-flight request (strong count > 1) survive; a pruned
-            // model's EWMA simply re-learns within a few requests.
-            cells.retain(|_, c| Arc::strong_count(c) > 1);
-        }
-        LatencyCell(Arc::clone(cells.entry(key.to_string()).or_default()))
-    }
-
-    /// Current EWMA for a model, if any observation was recorded.
-    pub fn ns_per_row(&self, key: &str) -> Option<f64> {
-        let cells = self.cells.read().expect("latency lock poisoned");
-        let bits = cells.get(key)?.load(std::sync::atomic::Ordering::Relaxed);
-        (bits != 0).then(|| f64::from_bits(bits))
-    }
-
-    /// Convenience: [`LatencyCell::observe`] by key.
-    pub fn observe(&self, key: &str, ns_per_row: f64) {
-        self.cell(key).observe(ns_per_row);
-    }
-
-    /// Convenience: [`LatencyCell::shard_rows`] by key.
-    pub fn shard_rows(&self, key: &str) -> usize {
-        self.cell(key).shard_rows()
-    }
 }
 
 /// A machine-wide pool of predict fan-out slots. Requests reserve up to
@@ -407,7 +276,6 @@ impl AppState {
                 registry,
                 artifact_dir,
                 predict_threads: cores,
-                latency: LatencyTracker::new(),
                 coalescer: Coalescer::with_stats(opts.coalesce, telemetry.coalesce_stats()),
                 telemetry,
                 net: Arc::new(crate::http::NetStats::new()),
@@ -493,8 +361,25 @@ pub fn execute_predict(
     rows: &[u32],
     d: usize,
 ) -> Vec<bool> {
-    let cell = state.latency.cell(&artifact.key());
-    execute_predict_cell(state, &cell, artifact, rows, d)
+    let cell = state.telemetry.model(&artifact.key());
+    execute_segments(state, &cell, artifact, &[rows], d)
+        .labels
+        .pop()
+        .unwrap_or_default()
+}
+
+/// Executes a merged batch — many requests' row buffers against one model
+/// — as a single sharded fan-out, paying the cell lookup, fan-out budget
+/// and EWMA bookkeeping **once for the whole batch** instead of once per
+/// request. Per-segment results are bit-identical to solo execution.
+pub fn execute_batch(
+    state: &AppState,
+    artifact: &ModelArtifact,
+    segments: &[&[u32]],
+    d: usize,
+) -> Vec<Vec<bool>> {
+    let cell = state.telemetry.model(&artifact.key());
+    execute_segments(state, &cell, artifact, segments, d).labels
 }
 
 /// Per-segment results of one executed batch. Single-model artifacts fill
@@ -519,9 +404,9 @@ struct ExecOutcome {
 /// through the same sharded kernels, then only low-confidence rows are
 /// re-packed contiguously for the next tier — and per-segment results are
 /// bit-identical to solo per-row execution either way.
-fn execute_segments_cell(
+fn execute_segments(
     state: &AppState,
-    cell: &LatencyCell,
+    cell: &ModelStats,
     artifact: &ModelArtifact,
     segments: &[&[u32]],
     d: usize,
@@ -592,47 +477,6 @@ fn execute_segments_cell(
     outcome
 }
 
-/// [`execute_predict`] with the model's [`LatencyCell`] already resolved —
-/// the handler resolves key and cell exactly once per request and passes
-/// them down, so the hot path pays the map probe a single time.
-fn execute_predict_cell(
-    state: &AppState,
-    cell: &LatencyCell,
-    artifact: &ModelArtifact,
-    rows: &[u32],
-    d: usize,
-) -> Vec<bool> {
-    execute_segments_cell(state, cell, artifact, &[rows], d)
-        .labels
-        .pop()
-        .unwrap_or_default()
-}
-
-/// Executes a merged batch — many requests' row buffers against one model
-/// — as a single sharded fan-out, paying the latency cell, fan-out budget
-/// and EWMA bookkeeping **once for the whole batch** instead of once per
-/// request. Per-segment results are bit-identical to solo execution.
-pub fn execute_batch(
-    state: &AppState,
-    artifact: &ModelArtifact,
-    segments: &[&[u32]],
-    d: usize,
-) -> Vec<Vec<bool>> {
-    let cell = state.latency.cell(&artifact.key());
-    execute_batch_cell(state, &cell, artifact, segments, d)
-}
-
-/// [`execute_batch`] with the model's [`LatencyCell`] already resolved.
-fn execute_batch_cell(
-    state: &AppState,
-    cell: &LatencyCell,
-    artifact: &ModelArtifact,
-    segments: &[&[u32]],
-    d: usize,
-) -> Vec<Vec<bool>> {
-    execute_segments_cell(state, cell, artifact, segments, d).labels
-}
-
 /// Runs a flushed coalescer batch and answers every participant — the one
 /// spot every predict execution flows through (coalesced flushes, solo
 /// requests, and the rollout plane's mirrored shadow parts alike), so
@@ -645,18 +489,11 @@ fn execute_batch_cell(
 /// requests), shadow participants are skipped without polluting the
 /// candidate's agreement stats, and canary-served requests count toward
 /// the canary error-ratio guardrail.
-fn run_batch(
-    state: &AppState,
-    key: String,
-    cell: &LatencyCell,
-    tstats: &Arc<crate::telemetry::ModelStats>,
-    batch: Batch,
-    d: usize,
-) {
+fn run_batch(state: &AppState, key: String, cell: &ModelStats, batch: Batch, d: usize) {
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         state.faults.maybe_panic(&key);
         let segments: Vec<&[u32]> = batch.parts.iter().map(|p| p.rows.as_slice()).collect();
-        execute_segments_cell(state, cell, &batch.artifact, &segments, d)
+        execute_segments(state, cell, &batch.artifact, &segments, d)
     }));
     let mut out = match out {
         Ok(out) => out,
@@ -699,7 +536,7 @@ fn run_batch(
         }
     }
     if let Some(hist) = &out.tier_hist {
-        tstats.record_tiers(hist);
+        cell.record_tiers(hist);
     }
     // Per-segment provenance travels with each participant's response;
     // `None` (single-model artifact) fans out as `None` per part.
@@ -734,13 +571,13 @@ fn run_batch(
                 .filter(|(a, b)| a == b)
                 .count() as u64;
             shadow.stats.record_shadow(labels.len() as u64, agree);
-            tstats.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
+            cell.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
             continue;
         }
         if mirror.is_some() {
             mirrored.push((part.rows.clone(), labels.clone()));
         }
-        tstats.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
+        cell.record(spent, (part.rows.len() / d.max(1)) as u64, merged, now_ms);
         state
             .telemetry
             .endpoint(Endpoint::Predict)
@@ -782,8 +619,7 @@ fn mirror_into_shadow(
         return;
     }
     let cand_key = candidate.key();
-    let cell = state.latency.cell(&cand_key);
-    let tstats = state.telemetry.model(&cand_key);
+    let cell = state.telemetry.model(&cand_key);
     for (rows, expected) in mirrored {
         let (responder, rx) = Responder::direct();
         drop(rx); // discard the mirrored response entirely
@@ -794,23 +630,19 @@ fn mirror_into_shadow(
             responder,
             shadow: Some(ShadowCtx {
                 expected,
-                stats: Arc::clone(&tstats),
+                stats: Arc::clone(&cell),
             }),
         };
-        match state
-            .coalescer
-            .submit(&cand_key, &candidate, d, part, cell.ns_per_row())
-        {
+        match state.coalescer.submit(&cell, &candidate, d, part) {
             Submitted::Joined => {}
             Submitted::Solo(part) => run_batch(
                 state,
                 cand_key.clone(),
                 &cell,
-                &tstats,
                 Batch::solo(Arc::clone(&candidate), part),
                 d,
             ),
-            Submitted::Flush(batch) => run_batch(state, cand_key.clone(), &cell, &tstats, batch, d),
+            Submitted::Flush(batch) => run_batch(state, cand_key.clone(), &cell, batch, d),
         }
     }
 }
@@ -867,12 +699,11 @@ fn predict(state: &AppState, req: &Request, responder: Responder) {
             artifact = candidate;
         }
     }
-    // Resolve the model's identity, latency cell and telemetry cell
-    // exactly once; every downstream step (coalescer lane, shard sizing,
-    // EWMA fold-back, response body, per-model accounting) reuses them.
+    // Resolve the model's identity and serving cell exactly once; every
+    // downstream step (coalescer lane, shard sizing, EWMA fold-back,
+    // response body, per-model accounting) reuses them.
     let key = artifact.key();
-    let cell = state.latency.cell(&key);
-    let tstats = state.telemetry.model(&key);
+    let cell = state.telemetry.model(&key);
     let part = PendingPredict {
         rows,
         start,
@@ -880,21 +711,16 @@ fn predict(state: &AppState, req: &Request, responder: Responder) {
         responder,
         shadow: None,
     };
-    match state
-        .coalescer
-        .submit(&key, &artifact, d, part, cell.ns_per_row())
-    {
+    match state.coalescer.submit(&cell, &artifact, d, part) {
         // Merged into an open batch: its leader answers; this executor is
         // already free for the next request.
         Submitted::Joined => {}
         // Solo and flushed batches share one execution path (`run_batch`):
         // panic containment, accounting and shadow mirroring live there.
-        Submitted::Solo(part) => {
-            run_batch(state, key, &cell, &tstats, Batch::solo(artifact, part), d)
-        }
+        Submitted::Solo(part) => run_batch(state, key, &cell, Batch::solo(artifact, part), d),
         // Leading a batch means every participant resolved this same
         // artifact, so the key and cell resolved above serve the batch.
-        Submitted::Flush(batch) => run_batch(state, key, &cell, &tstats, batch, d),
+        Submitted::Flush(batch) => run_batch(state, key, &cell, batch, d),
     }
 }
 
@@ -1206,7 +1032,6 @@ mod tests {
             registry: ModelRegistry::new(),
             artifact_dir: std::env::temp_dir().join("hamlet-serve-router-tests"),
             predict_threads: 2,
-            latency: LatencyTracker::new(),
             coalescer: Coalescer::with_stats(coalesce, telemetry.coalesce_stats()),
             telemetry,
             net: Arc::new(crate::http::NetStats::new()),
@@ -1536,38 +1361,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_tracker_adapts_shard_size() {
-        let t = LatencyTracker::new();
-        // Unobserved models use the library's fixed floor.
-        assert_eq!(t.shard_rows("fresh@1"), hamlet_ml::any::MIN_ROWS_PER_SHARD);
-        // A cheap model (100 ns/row) gets coarse shards near the target
-        // budget; an expensive one (50 µs/row) gets the minimum.
-        t.observe("tree@1", 100.0);
-        assert_eq!(t.shard_rows("tree@1"), 2500);
-        t.observe("svm@1", 50_000.0);
-        assert_eq!(t.shard_rows("svm@1"), MIN_ADAPTIVE_SHARD_ROWS);
-        // Extremes clamp rather than explode.
-        t.observe("instant@1", 1e-3);
-        assert_eq!(t.shard_rows("instant@1"), MAX_ADAPTIVE_SHARD_ROWS);
-        // The EWMA tracks drift: after many fast observations a formerly
-        // slow model's shards grow.
-        for _ in 0..200 {
-            t.observe("svm@1", 1_000.0);
-        }
-        assert!(t.shard_rows("svm@1") > 200, "{}", t.shard_rows("svm@1"));
-        // Garbage observations are ignored.
-        t.observe("svm@1", f64::NAN);
-        t.observe("svm@1", -5.0);
-        assert!(t.ns_per_row("svm@1").unwrap().is_finite());
-    }
-
-    #[test]
     fn predict_records_latency_observations() {
         let app = state();
         app.registry
             .insert(crate::artifact::tests::toy_artifact("obs", 1));
         let handler = router(Arc::clone(&app));
-        assert!(app.latency.ns_per_row("obs@1").is_none());
+        assert!(app.telemetry.model("obs@1").ns_per_row().is_none());
         let (status, _) = call(
             &handler,
             "POST",
@@ -1575,7 +1374,7 @@ mod tests {
             "{\"model\":\"obs\",\"rows\":[[0,0],[1,1]]}",
         );
         assert_eq!(status, 200);
-        let first = app.latency.ns_per_row("obs@1").expect("observed");
+        let first = app.telemetry.model("obs@1").ns_per_row().expect("observed");
         assert!(first > 0.0);
         // More traffic keeps folding in (the EWMA moves or stays finite).
         let (status, _) = call(
@@ -1585,7 +1384,12 @@ mod tests {
             "{\"model\":\"obs\",\"rows\":[[0,0]]}",
         );
         assert_eq!(status, 200);
-        assert!(app.latency.ns_per_row("obs@1").unwrap().is_finite());
+        assert!(app
+            .telemetry
+            .model("obs@1")
+            .ns_per_row()
+            .unwrap()
+            .is_finite());
     }
 
     #[test]
@@ -1807,7 +1611,6 @@ mod tests {
             registry: ModelRegistry::new(),
             artifact_dir: std::env::temp_dir().join("hamlet-srv-panic"),
             predict_threads: 2,
-            latency: LatencyTracker::new(),
             coalescer: Coalescer::with_stats(CoalesceConfig::default(), telemetry.coalesce_stats()),
             telemetry,
             net: Arc::new(crate::http::NetStats::new()),

@@ -2,10 +2,13 @@
 //! histograms, the recent-event ring, and the optional durable event log.
 //!
 //! Cloning `Telemetry` is an `Arc` bump; every recording path is lock-free
-//! or read-lock-only in steady state. Per-model cells follow the same
-//! pattern as `LatencyTracker`: a `RwLock<HashMap>` taken for read on
-//! every hit, with an occasional write-locked insert for first contact and
-//! a garbage-collection sweep once the map grows past a threshold.
+//! or read-lock-only in steady state. [`ModelStats`] is the one per-model
+//! serving cell: besides the counters it holds the per-row cost EWMA that
+//! sizes shards and the coalescer's merge lane, so a predict resolves it
+//! once ([`Telemetry::model`]) and reuses the `Arc` for the whole request.
+//! The cells live in a `RwLock<HashMap>` taken for read on every hit, with
+//! an occasional write-locked insert for first contact and a
+//! garbage-collection sweep once the map grows past a threshold.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use hamlet_ml::cascade::MAX_TIERS;
 
-use crate::coalesce::CoalesceStats;
+use crate::coalesce::{CoalesceStats, Lane};
 use crate::error::Result;
 
 use super::eventlog::{Event, EventKind, EventLog};
@@ -23,8 +26,21 @@ use super::hist::{HistogramSnapshot, LatencyHistogram};
 /// Recent events kept in memory for `/v1/stats` regardless of whether a
 /// durable log is attached.
 const EVENT_RING: usize = 64;
-/// Per-model cell map GC threshold (mirrors `LATENCY_CELLS_GC_THRESHOLD`).
+/// Per-model cell map GC threshold.
 const MODEL_CELLS_GC_THRESHOLD: usize = 256;
+/// Wall-clock budget per predict shard (250 µs). The adaptive shard size
+/// for a model is `TARGET_SHARD_NANOS / observed-ns-per-row`: cheap models
+/// (a tree at tens of ns/row) get huge shards so spawn overhead stays
+/// negligible, expensive ones (an RBF-SVM at tens of µs/row) get small
+/// shards so even mid-size batches use every core.
+pub const TARGET_SHARD_NANOS: f64 = 250_000.0;
+/// Clamp range for adaptive shard sizes: never shard finer than this many
+/// rows (spawn overhead dominates below it)...
+pub const MIN_ADAPTIVE_SHARD_ROWS: usize = 32;
+/// ...and never coarser than this (one shard must not starve the pool).
+pub const MAX_ADAPTIVE_SHARD_ROWS: usize = 65_536;
+/// EWMA smoothing factor for per-row latency observations.
+const LATENCY_EWMA_ALPHA: f64 = 0.2;
 /// `last_hit_ms` sentinel: never hit since boot.
 const NEVER: u64 = u64::MAX;
 
@@ -159,8 +175,9 @@ pub struct EndpointSnapshot {
     pub hist: HistogramSnapshot,
 }
 
-/// Counters and latency for one model key, including the last-hit
-/// timestamp the auto-demoter reads.
+/// The serving cell for one model key: counters and latency, the last-hit
+/// timestamp the auto-demoter reads, the per-row cost EWMA behind adaptive
+/// shard sizing and the merge window, and the coalescer's lane.
 #[derive(Debug)]
 pub struct ModelStats {
     hist: LatencyHistogram,
@@ -182,6 +199,12 @@ pub struct ModelStats {
     /// Shadow rows skipped because the mirrored execution panicked — kept
     /// out of both `shadow_rows` and the agreement tally.
     shadow_skipped_rows: AtomicU64,
+    /// EWMA of the estimated *sequential* per-row predict cost in ns
+    /// (wall-clock × shards used ÷ rows, so it stays comparable whether a
+    /// batch ran on one thread or sixteen), as f64 bits; 0 = unobserved.
+    ns_per_row: AtomicU64,
+    /// Where concurrent predicts against this model merge.
+    pub(crate) lane: Lane,
 }
 
 impl Default for ModelStats {
@@ -196,6 +219,8 @@ impl Default for ModelStats {
             shadow_rows: AtomicU64::new(0),
             shadow_agree_rows: AtomicU64::new(0),
             shadow_skipped_rows: AtomicU64::new(0),
+            ns_per_row: AtomicU64::new(0),
+            lane: Lane::default(),
         }
     }
 }
@@ -236,6 +261,54 @@ impl ModelStats {
     #[inline]
     pub fn record_shadow_skipped(&self, rows: u64) {
         self.shadow_skipped_rows.fetch_add(rows, Ordering::Relaxed);
+    }
+
+    /// Current per-row cost EWMA (estimated sequential ns/row), if any
+    /// observation was recorded.
+    #[inline]
+    pub fn ns_per_row(&self) -> Option<f64> {
+        let bits = self.ns_per_row.load(Ordering::Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits))
+    }
+
+    /// Folds one observation (estimated sequential ns/row) into the EWMA.
+    #[inline]
+    pub fn observe(&self, ns_per_row: f64) {
+        if !ns_per_row.is_finite() || ns_per_row <= 0.0 {
+            return;
+        }
+        let mut cur = self.ns_per_row.load(Ordering::Relaxed);
+        loop {
+            let old = f64::from_bits(cur);
+            let next = if old == 0.0 {
+                ns_per_row
+            } else {
+                LATENCY_EWMA_ALPHA * ns_per_row + (1.0 - LATENCY_EWMA_ALPHA) * old
+            };
+            match self.ns_per_row.compare_exchange_weak(
+                cur,
+                next.to_bits(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(now) => cur = now,
+            }
+        }
+    }
+
+    /// Shard size (rows per extra thread) for this model: sized so one
+    /// shard costs ~[`TARGET_SHARD_NANOS`], clamped to
+    /// [[`MIN_ADAPTIVE_SHARD_ROWS`], [`MAX_ADAPTIVE_SHARD_ROWS`]]. Models
+    /// never observed yet use the library's fixed
+    /// [`hamlet_ml::any::MIN_ROWS_PER_SHARD`] floor.
+    #[inline]
+    pub fn shard_rows(&self) -> usize {
+        match self.ns_per_row() {
+            None => hamlet_ml::any::MIN_ROWS_PER_SHARD,
+            Some(ns) => ((TARGET_SHARD_NANOS / ns) as usize)
+                .clamp(MIN_ADAPTIVE_SHARD_ROWS, MAX_ADAPTIVE_SHARD_ROWS),
+        }
     }
 
     pub fn snapshot(&self) -> ModelSnapshot {
@@ -336,9 +409,9 @@ impl Telemetry {
         &self.inner.endpoints[e.index()]
     }
 
-    /// The stats cell for a model key, created on first contact. Callers
-    /// on the hot path resolve this once per request (or batch) and reuse
-    /// the `Arc`.
+    /// The serving cell for a model key, created on first contact. A
+    /// predict resolves this once per request (or batch) and reuses the
+    /// `Arc` for shard sizing, coalescing and accounting.
     pub fn model(&self, key: &str) -> Arc<ModelStats> {
         if let Some(cell) = self.inner.models.read().expect("model stats lock").get(key) {
             return Arc::clone(cell);
@@ -348,6 +421,9 @@ impl Telemetry {
             // Drop cells nobody else holds *and* that recorded nothing:
             // stats for keys that were only probed. Cells with traffic are
             // kept so restarting clients cannot wipe history mid-scrape.
+            // A leader with an open batch holds its cell, so no open lane
+            // is ever dropped; a dropped cell's EWMA re-learns within a
+            // few requests.
             map.retain(|_, cell| {
                 Arc::strong_count(cell) > 1 || cell.requests.load(Ordering::Relaxed) > 0
             });
@@ -444,6 +520,9 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::tests::toy_artifact;
+    use crate::coalesce::{CoalesceConfig, Coalescer, PendingPredict, Submitted};
+    use crate::http::Responder;
 
     #[test]
     fn endpoint_classification_covers_the_api() {
@@ -461,17 +540,93 @@ mod tests {
         let cell = t.model("m@1");
         cell.record(Duration::from_millis(2), 3, true, t.now_ms());
         cell.record(Duration::from_millis(4), 1, false, t.now_ms());
+        cell.observe(400.0);
         drop(cell);
-        // Flood with probed-but-idle keys to trigger the GC sweep.
-        for i in 0..(MODEL_CELLS_GC_THRESHOLD + 8) {
-            t.model(&format!("ghost-{i}"));
-        }
+        // A cell with no traffic yet whose lane a leader holds open: the
+        // window is long and the batch flushes only when full, so the
+        // follower below can only complete it by finding the same lane.
+        let coalescer = Coalescer::new(CoalesceConfig {
+            window: Duration::from_secs(10),
+            max_rows: 2,
+        });
+        let artifact = Arc::new(toy_artifact("held", 1));
+        let pending = |row: u32| {
+            let (responder, rx) = Responder::direct_with_depth(2);
+            let part = PendingPredict {
+                rows: vec![row, row],
+                start: Instant::now(),
+                explain_tiers: false,
+                responder,
+                shadow: None,
+            };
+            (part, rx)
+        };
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                let (part, _rx) = pending(0);
+                coalescer.submit(&t.model("held@1"), &artifact, 2, part)
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            // Flood with probed-but-idle keys to trigger the GC sweep.
+            for i in 0..(MODEL_CELLS_GC_THRESHOLD + 8) {
+                t.model(&format!("ghost-{i}"));
+            }
+            let (part, _rx) = pending(1);
+            assert!(
+                matches!(
+                    coalescer.submit(&t.model("held@1"), &artifact, 2, part),
+                    Submitted::Joined
+                ),
+                "the open batch's cell survived the sweep"
+            );
+            let Submitted::Flush(batch) = leader.join().unwrap() else {
+                panic!("leader must flush");
+            };
+            assert_eq!(batch.parts.len(), 2);
+        });
         let rows = t.models_snapshot();
+        assert!(
+            rows.len() < MODEL_CELLS_GC_THRESHOLD,
+            "the sweep ran: {} cells",
+            rows.len()
+        );
         let (_, snap) = rows.iter().find(|(k, _)| k == "m@1").expect("traffic kept");
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.merged_requests, 1);
         assert_eq!(snap.rows, 4);
         assert!(snap.last_hit_ms.is_some());
+        // The trafficked cell kept its EWMA through the sweep.
+        assert_eq!(t.model("m@1").ns_per_row(), Some(400.0));
+    }
+
+    #[test]
+    fn model_cell_adapts_shard_size() {
+        let t = Telemetry::in_memory();
+        // Unobserved models use the library's fixed floor.
+        assert_eq!(
+            t.model("fresh@1").shard_rows(),
+            hamlet_ml::any::MIN_ROWS_PER_SHARD
+        );
+        // A cheap model (100 ns/row) gets coarse shards near the target
+        // budget; an expensive one (50 µs/row) gets the minimum.
+        t.model("tree@1").observe(100.0);
+        assert_eq!(t.model("tree@1").shard_rows(), 2500);
+        let svm = t.model("svm@1");
+        svm.observe(50_000.0);
+        assert_eq!(svm.shard_rows(), MIN_ADAPTIVE_SHARD_ROWS);
+        // Extremes clamp rather than explode.
+        t.model("instant@1").observe(1e-3);
+        assert_eq!(t.model("instant@1").shard_rows(), MAX_ADAPTIVE_SHARD_ROWS);
+        // The EWMA tracks drift: after many fast observations a formerly
+        // slow model's shards grow.
+        for _ in 0..200 {
+            svm.observe(1_000.0);
+        }
+        assert!(svm.shard_rows() > 200, "{}", svm.shard_rows());
+        // Garbage observations are ignored.
+        svm.observe(f64::NAN);
+        svm.observe(-5.0);
+        assert!(svm.ns_per_row().unwrap().is_finite());
     }
 
     #[test]

@@ -315,3 +315,124 @@ fn request_spanning_many_tiny_writes_still_parses() {
     assert!(out.contains("POST /frag 12"), "{out}");
     server.shutdown();
 }
+
+/// The `TcpExt ListenOverflows` counter from `/proc/net/netstat`, where
+/// that file is readable.
+fn listen_overflows() -> Option<u64> {
+    let text = std::fs::read_to_string("/proc/net/netstat").ok()?;
+    let mut lines = text.lines();
+    while let (Some(names), Some(values)) = (lines.next(), lines.next()) {
+        if !names.starts_with("TcpExt:") {
+            continue;
+        }
+        let i = names
+            .split_whitespace()
+            .position(|n| n == "ListenOverflows")?;
+        return values.split_whitespace().nth(i)?.parse().ok();
+    }
+    None
+}
+
+#[test]
+fn connect_burst_on_one_reactor_never_overflows_the_backlog() {
+    // 256 connects land at once on a single reactor: the listen backlog
+    // must hold them all while the reactor drains its accept queue, or the
+    // kernel drops handshakes and clients stall on SYN retransmits.
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        echo_handler(),
+        ServerOptions {
+            workers: 2,
+            reactors: 1,
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let before = listen_overflows();
+    for round in 0..3 {
+        let start = std::sync::Barrier::new(16);
+        std::thread::scope(|scope| {
+            for t in 0..16 {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    let mut streams: Vec<TcpStream> = (0..16)
+                        .map(|i| {
+                            let mut s = TcpStream::connect(addr).unwrap();
+                            s.write_all(
+                                format!(
+                                    "GET /r{round}/t{t}/c{i} HTTP/1.1\r\nHost: h\r\n\
+                                     Connection: close\r\n\r\n"
+                                )
+                                .as_bytes(),
+                            )
+                            .unwrap();
+                            s
+                        })
+                        .collect();
+                    for s in &mut streams {
+                        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                        let mut out = String::new();
+                        s.read_to_string(&mut out).unwrap();
+                        assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+                    }
+                });
+            }
+        });
+    }
+    if let (Some(before), Some(after)) = (before, listen_overflows()) {
+        assert_eq!(after - before, 0, "listen queue overflowed");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn every_reactor_count_binds_ipv6() {
+    if std::net::TcpListener::bind("[::1]:0").is_err() {
+        eprintln!("skipping: [::1] cannot bind here");
+        return;
+    }
+    for reactors in [1, 2] {
+        let server = Server::bind_with(
+            "[::1]:0",
+            echo_handler(),
+            ServerOptions {
+                workers: 1,
+                reactors,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(server.addr().is_ipv6(), "{}", server.addr());
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(b"GET /v6 HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut out = String::new();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.read_to_string(&mut out).unwrap();
+        assert!(out.contains("GET /v6 0"), "{reactors} reactor(s): {out}");
+        server.shutdown();
+    }
+}
+
+#[test]
+fn one_reactor_server_cannot_bind_a_taken_port() {
+    let one = |addr: &str| {
+        Server::bind_with(
+            addr,
+            echo_handler(),
+            ServerOptions {
+                workers: 1,
+                reactors: 1,
+                ..ServerOptions::default()
+            },
+        )
+    };
+    let first = one("127.0.0.1:0").unwrap();
+    let err = one(&first.addr().to_string())
+        .err()
+        .expect("a second server on a held port must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    first.shutdown();
+}
