@@ -11,6 +11,17 @@
 //! active column is one contiguous `h1`-wide add in training and prediction
 //! alike. Only the artifact keeps the row-major `h1 × d_in` layout: the
 //! codec transposes on the way to and from disk.
+//!
+//! Training and batch prediction run rows in blocks of two. The dense
+//! layers stream each `w2` row once per block: the forward pass computes
+//! both rows' dots against it ([`kernels::dot_rows_f32`]), and the backward
+//! pass adds both rows' contributions to its gradient row and both rows'
+//! `d1` in one fused pass ([`kernels::axpy_rows_f32`]). A minibatch's
+//! weights are fixed until its optimizer step, and every gradient element
+//! still takes its terms in the per-row loop's order — rows in batch order,
+//! hidden units in index order, each a multiply then an add — so the
+//! blocked loop returns the per-row loop's bits in every kernel tier. A
+//! row's logit likewise does not depend on the row beside it.
 
 pub mod adam;
 
@@ -104,20 +115,46 @@ pub struct Mlp {
     pub(crate) b3: f32,
 }
 
+/// Rows per block: training and batch prediction run the dense layers for
+/// this many rows against each `w2` row they load.
+const BLOCK: usize = 2;
+const _: () = assert!(
+    BLOCK >= 1 && BLOCK <= 4,
+    "backprop_block dispatches 1 to 4 live rows"
+);
+
+/// Minibatch gradient accumulators, shaped like the network's tensors
+/// (`w1` column-major). Each optimizer step re-zeroes the gradient it
+/// consumes.
+struct Grads {
+    w1: Vec<f32>,
+    b1: Vec<f32>,
+    w2: Vec<f32>,
+    b2: Vec<f32>,
+    w3: Vec<f32>,
+    b3: [f32; 1],
+}
+
 impl Mlp {
     /// Trains the network with minibatch Adam.
-    #[allow(clippy::needless_range_loop)] // unit index u spans z/a/d/grad buffers
     pub fn fit(ds: &CatDataset, params: AnnParams) -> Result<Self> {
-        let n = ds.n_rows();
-        if n == 0 {
+        if ds.n_rows() == 0 {
             return Err(MlError::Shape {
                 detail: "cannot fit an MLP on an empty dataset".into(),
             });
         }
+        check_batch_size(&params)?;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
+        let mut net = Mlp::init(ds, &params, &mut rng);
+        net.sgd_epochs(ds, &params, &mut rng);
+        Ok(net)
+    }
+
+    /// He-initialized weights for `ds`, drawn from `rng`.
+    fn init(ds: &CatDataset, params: &AnnParams, rng: &mut rand::rngs::StdRng) -> Self {
         let offsets = ds.onehot_offsets();
         let d_in = ds.onehot_dim();
         let (h1, h2) = (params.hidden1, params.hidden2);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
 
         // He-style init scaled by fan-in.
         let mut init = |fan_in: usize, len: usize| -> Vec<f32> {
@@ -127,7 +164,7 @@ impl Mlp {
                 .map(|v| v as f32)
                 .collect()
         };
-        let mut net = Mlp {
+        Mlp {
             offsets: offsets.into(),
             d_in,
             h1,
@@ -140,10 +177,7 @@ impl Mlp {
             b2: vec![0.0; h2].into(),
             w3: init(h2, h2).into(),
             b3: 0.0,
-        };
-
-        net.sgd_epochs(ds, &params, &mut rng);
-        Ok(net)
+        }
     }
 
     /// Warm-start refresh: continue minibatch Adam from this network's
@@ -167,6 +201,7 @@ impl Mlp {
                 ),
             });
         }
+        check_batch_size(&params)?;
         // Clone is cheap relative to training; a mapped (mmap-backed) source
         // converts to owned storage on first mutation via `PodVec`.
         let mut net = self.clone();
@@ -178,98 +213,147 @@ impl Mlp {
     /// The minibatch-Adam epoch loop shared by [`Mlp::fit`] (fresh He-init
     /// weights) and [`Mlp::fit_incremental`] (warm-started weights).
     ///
-    /// Every element's arithmetic is the plain sequential loop's: the
-    /// column-major layer 1 only changes the memory layout, the dispatched
-    /// elementwise kernels round like scalar code, and adding a zero delta
-    /// to a gradient (where a dead unit used to be skipped) leaves it
-    /// unchanged because accumulators start at `+0.0` and never become
-    /// `-0.0`.
+    /// A minibatch runs in blocks of [`BLOCK`] rows (see
+    /// [`Mlp::backprop_block`]); the weights change only in the optimizer
+    /// step after the whole minibatch.
     fn sgd_epochs(&mut self, ds: &CatDataset, params: &AnnParams, rng: &mut rand::rngs::StdRng) {
         let net = self;
         let n = ds.n_rows();
-        let (h1, h2) = (net.h1, net.h2);
         let mut opt_w1 = Adam::new(net.w1.len(), params.lr);
-        let mut opt_b1 = Adam::new(h1, params.lr);
+        let mut opt_b1 = Adam::new(net.h1, params.lr);
         let mut opt_w2 = Adam::new(net.w2.len(), params.lr);
-        let mut opt_b2 = Adam::new(h2, params.lr);
-        let mut opt_w3 = Adam::new(h2, params.lr);
+        let mut opt_b2 = Adam::new(net.h2, params.lr);
+        let mut opt_w3 = Adam::new(net.h2, params.lr);
         let mut opt_b3 = Adam::new(1, params.lr);
+        let mut g = Grads {
+            w1: vec![0.0; net.w1.len()],
+            b1: vec![0.0; net.h1],
+            w2: vec![0.0; net.w2.len()],
+            b2: vec![0.0; net.h2],
+            w3: vec![0.0; net.h2],
+            b3: [0.0],
+        };
 
-        // Gradient accumulators (batch); `g_w1` is column-major like `w1`.
-        // Each optimizer step re-zeroes the gradient it consumes.
-        let mut g_w1 = vec![0.0f32; net.w1.len()];
-        let mut g_b1 = vec![0.0f32; h1];
-        let mut g_w2 = vec![0.0f32; net.w2.len()];
-        let mut g_b2 = vec![0.0f32; h2];
-        let mut g_w3 = vec![0.0f32; h2];
-        let mut g_b3 = [0.0f32; 1];
-
-        // Per-sample work buffers.
-        let mut active = vec![0usize; ds.n_features()];
-        let mut z1 = vec![0.0f32; h1];
-        let mut a1 = vec![0.0f32; h1];
-        let mut z2 = vec![0.0f32; h2];
-        let mut a2 = vec![0.0f32; h2];
-        let mut d1 = vec![0.0f32; h1];
-        let mut d2 = vec![0.0f32; h2];
+        // Per-block work buffers: slot r of each holds the block's row r.
+        let mut s = net.scratch();
+        s.active.resize(BLOCK * ds.n_features(), 0);
+        let mut d1 = vec![0.0f32; BLOCK * net.h1];
+        let mut d2 = vec![0.0f32; BLOCK * net.h2];
 
         let mut order: Vec<usize> = (0..n).collect();
         for _epoch in 0..params.epochs {
             order.shuffle(rng);
             for batch in order.chunks(params.batch_size) {
-                for &i in batch {
-                    net.active_indices(ds.row(i), &mut active);
-                    let z3 = net.forward(&active, &mut z1, &mut a1, &mut z2, &mut a2);
-                    let y = f32::from(u8::from(ds.label(i)));
-                    let p = sigmoid(z3);
-                    let delta3 = p - y; // dBCE/dz3
-
-                    // Layer 3 gradients.
-                    kernels::axpy_f32(delta3, &a2, &mut g_w3);
-                    g_b3[0] += delta3;
-
-                    // Backprop into layer 2.
-                    for ((d, &z), &w) in d2.iter_mut().zip(&z2).zip(net.w3.iter()) {
-                        *d = if z > 0.0 { delta3 * w } else { 0.0 };
-                    }
-                    for (u, &du) in d2.iter().enumerate() {
-                        if du != 0.0 {
-                            kernels::axpy_f32(du, &a1, &mut g_w2[u * h1..(u + 1) * h1]);
-                            g_b2[u] += du;
-                        }
-                    }
-
-                    // Backprop into layer 1: d1 = W2ᵀ d2 ⊙ relu'(z1).
-                    d1.fill(0.0);
-                    for (u, &du) in d2.iter().enumerate() {
-                        if du != 0.0 {
-                            kernels::axpy_f32(du, &net.w2[u * h1..(u + 1) * h1], &mut d1);
-                        }
-                    }
-                    for (dv, &z) in d1.iter_mut().zip(&z1) {
-                        if z <= 0.0 {
-                            *dv = 0.0;
-                        }
-                    }
-
-                    // Scatter into the active W1 columns (rows of `g_w1`).
-                    for &idx in &active {
-                        kernels::add_f32(&d1, &mut g_w1[idx * h1..(idx + 1) * h1]);
-                    }
-                    kernels::add_f32(&d1, &mut g_b1);
+                for block in batch.chunks(BLOCK) {
+                    net.backprop_block(ds, block, &mut s, &mut d1, &mut d2, &mut g);
                 }
 
                 let inv = 1.0 / batch.len() as f32;
                 let l2 = Some(params.l2 as f32);
-                opt_w1.step_fused(&mut net.w1, &mut g_w1, inv, l2);
-                opt_b1.step_fused(&mut net.b1, &mut g_b1, inv, None);
-                opt_w2.step_fused(&mut net.w2, &mut g_w2, inv, l2);
-                opt_b2.step_fused(&mut net.b2, &mut g_b2, inv, None);
-                opt_w3.step_fused(&mut net.w3, &mut g_w3, inv, l2);
+                opt_w1.step_fused(&mut net.w1, &mut g.w1, inv, l2);
+                opt_b1.step_fused(&mut net.b1, &mut g.b1, inv, None);
+                opt_w2.step_fused(&mut net.w2, &mut g.w2, inv, l2);
+                opt_b2.step_fused(&mut net.b2, &mut g.b2, inv, None);
+                opt_w3.step_fused(&mut net.w3, &mut g.w3, inv, l2);
                 let mut b3 = [net.b3];
-                opt_b3.step_fused(&mut b3, &mut g_b3, inv, None);
+                opt_b3.step_fused(&mut b3, &mut g.b3, inv, None);
                 net.b3 = b3[0];
             }
+        }
+    }
+
+    /// Adds the gradients of the rows `block` (at most [`BLOCK`], in batch
+    /// order) into `g`.
+    ///
+    /// A full block runs its dense layers together: the forward pass loads
+    /// each `w2` row once for all rows, and the layer-2 backward step loads
+    /// each `w2` and `g.w2` row once for all rows whose `du ≠ 0`. A partial
+    /// block runs row by row. Each gradient element still takes its
+    /// contributions in batch-row order (and `d1` in unit order), each a
+    /// multiply then an add, and a row with `du == 0` still skips unit `u`
+    /// (`0·inf` would be NaN), so this returns the per-row loop's bits.
+    /// Accumulators start at `+0.0` and never become `-0.0`, so adding a
+    /// zero delta (where a dead unit used to be skipped) leaves them as
+    /// they are.
+    fn backprop_block(
+        &self,
+        ds: &CatDataset,
+        block: &[usize],
+        s: &mut MlpScratch,
+        d1: &mut [f32],
+        d2: &mut [f32],
+        g: &mut Grads,
+    ) {
+        let (h1, h2, d) = (self.h1, self.h2, ds.n_features());
+        let rows = block.len();
+        for (r, &i) in block.iter().enumerate() {
+            self.active_indices(ds.row(i), &mut s.active[r * d..(r + 1) * d]);
+        }
+        let z3: [f32; BLOCK] = if rows == BLOCK {
+            self.forward_rows(&s.active, &mut s.z1, &mut s.a1, &mut s.z2, &mut s.a2)
+        } else {
+            let mut z3 = [0.0; BLOCK];
+            for (r, z3) in z3.iter_mut().enumerate().take(rows) {
+                [*z3] = self.forward_rows(
+                    &s.active[r * d..(r + 1) * d],
+                    &mut s.z1[r * h1..(r + 1) * h1],
+                    &mut s.a1[r * h1..(r + 1) * h1],
+                    &mut s.z2[r * h2..(r + 1) * h2],
+                    &mut s.a2[r * h2..(r + 1) * h2],
+                );
+            }
+            z3
+        };
+
+        // Layer 3, and backprop into layer 2.
+        for (r, &i) in block.iter().enumerate() {
+            let y = f32::from(u8::from(ds.label(i)));
+            let delta3 = sigmoid(z3[r]) - y; // dBCE/dz3
+            kernels::axpy_f32(delta3, &s.a2[r * h2..(r + 1) * h2], &mut g.w3);
+            g.b3[0] += delta3;
+            let z2 = &s.z2[r * h2..(r + 1) * h2];
+            for ((d, &z), &w) in d2[r * h2..(r + 1) * h2]
+                .iter_mut()
+                .zip(z2)
+                .zip(self.w3.iter())
+            {
+                *d = if z > 0.0 { delta3 * w } else { 0.0 };
+            }
+        }
+
+        // Layer 2 gradients, and d1 = W2ᵀ d2 for every row.
+        d1[..rows * h1].fill(0.0);
+        let a1 = slots::<BLOCK>(&s.a1, h1);
+        let mut d1_rows = slots_mut::<BLOCK>(d1, h1);
+        for u in 0..h2 {
+            let du: [f32; BLOCK] = std::array::from_fn(|r| d2[r * h2 + u]);
+            let du = &du[..rows];
+            let w2 = &self.w2[u * h1..(u + 1) * h1];
+            let g_w2 = &mut g.w2[u * h1..(u + 1) * h1];
+            match du.iter().filter(|&&v| v != 0.0).count() {
+                0 => {}
+                1 => backprop_unit::<1>(du, &a1, w2, g_w2, &mut d1_rows),
+                2 => backprop_unit::<2>(du, &a1, w2, g_w2, &mut d1_rows),
+                3 => backprop_unit::<3>(du, &a1, w2, g_w2, &mut d1_rows),
+                4 => backprop_unit::<4>(du, &a1, w2, g_w2, &mut d1_rows),
+                _ => unreachable!("blocks hold at most 4 rows"),
+            }
+            for &v in du.iter().filter(|&&v| v != 0.0) {
+                g.b2[u] += v;
+            }
+        }
+
+        // d1 ⊙ relu'(z1), branch-free (a NaN z1 keeps its delta, as the
+        // branch did), then scatter into the active W1 columns (rows of
+        // `g.w1`).
+        for (r, d1) in d1_rows.into_iter().enumerate().take(rows) {
+            for (dv, &z) in d1.iter_mut().zip(&s.z1[r * h1..(r + 1) * h1]) {
+                *dv = if z <= 0.0 { 0.0 } else { *dv };
+            }
+            for &idx in &s.active[r * d..(r + 1) * d] {
+                kernels::add_f32(d1, &mut g.w1[idx * h1..(idx + 1) * h1]);
+            }
+            kernels::add_f32(d1, &mut g.b1);
         }
     }
 
@@ -280,51 +364,64 @@ impl Mlp {
         }
     }
 
-    /// Forward pass, filling the work buffers; returns the output logit.
+    /// Forward pass of `R` rows, filling slot `r` of each work buffer
+    /// (`active` holds `R` rows of indices; `z1`/`a1` and `z2`/`a2` slots
+    /// are `h1` and `h2` wide); returns the output logits.
     ///
     /// Layer 1 adds one contiguous `w1` column per active one-hot index
     /// onto the bias, in feature order, so every unit sums the same values
-    /// in the same order as a per-unit gather would; the dense
-    /// hidden→hidden and hidden→output products run on the dispatched
-    /// [`kernels`], so a 256×64 paper-shaped network rides AVX2 when the
-    /// host has it. Under `HAMLET_FORCE_SCALAR` the kernel reference path
-    /// reproduces the historical accumulation order bit-for-bit.
+    /// in the same order as a per-unit gather would. The dense
+    /// hidden→hidden and hidden→output products run on
+    /// [`kernels::dot_rows_f32`], which feeds each loaded weight row to all
+    /// `R` rows and gives each row [`kernels::dot_f32`]'s bits, so a row's
+    /// logit does not depend on `R` or on the rows beside it. Under
+    /// `HAMLET_FORCE_SCALAR` the kernel reference path reproduces the
+    /// historical accumulation order bit-for-bit.
     ///
     /// Always inlined: left to the compiler, the dense layers stayed an
     /// out-of-line call and the serving benchmark's `mlp_batch` p50 rose by
     /// about a sixth (2-vCPU Xeon, AVX2).
     #[inline(always)]
-    fn forward(
+    fn forward_rows<const R: usize>(
         &self,
         active: &[usize],
         z1: &mut [f32],
         a1: &mut [f32],
         z2: &mut [f32],
         a2: &mut [f32],
-    ) -> f32 {
-        let (w1, h1) = (self.w1.as_slice(), self.h1);
-        z1.copy_from_slice(&self.b1);
-        for &idx in active {
-            kernels::add_f32(&w1[idx * h1..(idx + 1) * h1], z1);
+    ) -> [f32; R] {
+        let (w1, h1, h2) = (self.w1.as_slice(), self.h1, self.h2);
+        let d = active.len() / R;
+        for r in 0..R {
+            let z = &mut z1[r * h1..(r + 1) * h1];
+            z.copy_from_slice(&self.b1);
+            for &idx in &active[r * d..(r + 1) * d] {
+                kernels::add_f32(&w1[idx * h1..(idx + 1) * h1], z);
+            }
+            kernels::relu_f32(z, &mut a1[r * h1..(r + 1) * h1]);
         }
-        kernels::relu_f32(z1, a1);
-        for (u, z_out) in z2.iter_mut().enumerate().take(self.h2) {
-            let row = &self.w2[u * h1..(u + 1) * h1];
-            *z_out = kernels::dot_f32(self.b2[u], row, a1);
+        let x1 = slots::<R>(a1, h1);
+        for u in 0..h2 {
+            let z = kernels::dot_rows_f32(self.b2[u], &self.w2[u * h1..(u + 1) * h1], x1);
+            for (r, z) in z.into_iter().enumerate() {
+                z2[r * h2 + u] = z;
+            }
         }
-        kernels::relu_f32(z2, a2);
-        kernels::dot_f32(self.b3, &self.w3, a2)
+        for r in 0..R {
+            kernels::relu_f32(&z2[r * h2..(r + 1) * h2], &mut a2[r * h2..(r + 1) * h2]);
+        }
+        kernels::dot_rows_f32(self.b3, &self.w3, slots::<R>(a2, h2))
     }
 
-    /// Reusable per-thread forward-pass buffers: one allocation for an
-    /// entire batch instead of five per row.
+    /// Reusable per-thread forward-pass buffers, with room for a block of
+    /// rows: one allocation for an entire batch instead of five per row.
     pub fn scratch(&self) -> MlpScratch {
         MlpScratch {
             active: Vec::new(),
-            z1: vec![0.0f32; self.h1],
-            a1: vec![0.0f32; self.h1],
-            z2: vec![0.0f32; self.h2],
-            a2: vec![0.0f32; self.h2],
+            z1: vec![0.0f32; BLOCK * self.h1],
+            a1: vec![0.0f32; BLOCK * self.h1],
+            z2: vec![0.0f32; BLOCK * self.h2],
+            a2: vec![0.0f32; BLOCK * self.h2],
         }
     }
 
@@ -333,7 +430,35 @@ impl Mlp {
     pub fn logit_scratch(&self, row: &[u32], s: &mut MlpScratch) -> f32 {
         s.active.resize(row.len(), 0);
         self.active_indices(row, &mut s.active);
-        self.forward(&s.active, &mut s.z1, &mut s.a1, &mut s.z2, &mut s.a2)
+        let [z] = self.forward_rows(&s.active, &mut s.z1, &mut s.a1, &mut s.z2, &mut s.a2);
+        z
+    }
+
+    /// Output logits of the row-major `rows` (`d > 0` codes each), passed
+    /// to `emit` in row order. Rows run [`BLOCK`] at a time through the
+    /// dense layers, a trailing partial block row by row; every logit is
+    /// bit-for-bit [`Mlp::logit`] of its row. The scratch must come from
+    /// [`Mlp::scratch`] on a same-shaped network.
+    pub fn logits_scratch(
+        &self,
+        rows: &[u32],
+        d: usize,
+        s: &mut MlpScratch,
+        mut emit: impl FnMut(f32),
+    ) {
+        let mut blocks = rows.chunks_exact(BLOCK * d);
+        for block in &mut blocks {
+            s.active.resize(block.len(), 0);
+            for (row, active) in block.chunks_exact(d).zip(s.active.chunks_exact_mut(d)) {
+                self.active_indices(row, active);
+            }
+            let z: [f32; BLOCK] =
+                self.forward_rows(&s.active, &mut s.z1, &mut s.a1, &mut s.z2, &mut s.a2);
+            z.into_iter().for_each(&mut emit);
+        }
+        for row in blocks.remainder().chunks_exact(d) {
+            emit(self.logit_scratch(row, s));
+        }
     }
 
     /// Output logit for one categorical row.
@@ -348,7 +473,8 @@ impl Mlp {
     }
 }
 
-/// Work buffers for [`Mlp::logit_scratch`]; create via [`Mlp::scratch`].
+/// Work buffers for [`Mlp::logit_scratch`] and [`Mlp::logits_scratch`];
+/// create via [`Mlp::scratch`].
 #[derive(Debug, Clone)]
 pub struct MlpScratch {
     active: Vec<usize>,
@@ -356,6 +482,56 @@ pub struct MlpScratch {
     a1: Vec<f32>,
     z2: Vec<f32>,
     a2: Vec<f32>,
+}
+
+/// One unit's layer-2 backward step over the `K` rows whose delta in `du`
+/// is non-zero, in row order: one fused kernel call adds `du[r]·a1[r]` into
+/// the unit's `w2` gradient row and `du[r]·w2` into `d1[r]`.
+#[inline(always)]
+fn backprop_unit<const K: usize>(
+    du: &[f32],
+    a1: &[&[f32]],
+    w2: &[f32],
+    g_w2: &mut [f32],
+    d1: &mut [&mut [f32]],
+) {
+    let mut live = du
+        .iter()
+        .zip(a1)
+        .zip(d1.iter_mut())
+        .filter(|((&v, _), _)| v != 0.0);
+    let mut a = [0.0; K];
+    let mut x: [&[f32]; K] = [&[]; K];
+    let d: [&mut [f32]; K] = std::array::from_fn(|k| {
+        let ((&v, &xr), dr) = live.next().expect("K live rows");
+        (a[k], x[k]) = (v, xr);
+        &mut **dr
+    });
+    kernels::axpy_rows_f32(a, x, w2, g_w2, d);
+}
+
+/// `AnnParams::batch_size` must be positive.
+fn check_batch_size(params: &AnnParams) -> Result<()> {
+    if params.batch_size == 0 {
+        return Err(MlError::Invalid("ANN batch_size must be at least 1".into()));
+    }
+    Ok(())
+}
+
+/// The first `R` consecutive `len`-wide slots of `buf`.
+#[inline(always)]
+fn slots<const R: usize>(buf: &[f32], len: usize) -> [&[f32]; R] {
+    std::array::from_fn(|r| &buf[r * len..(r + 1) * len])
+}
+
+/// The first `R` consecutive `len`-wide slots of `buf`, mutably.
+fn slots_mut<const R: usize>(buf: &mut [f32], len: usize) -> [&mut [f32]; R] {
+    let mut rest = buf;
+    std::array::from_fn(|_| {
+        let (slot, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        slot
+    })
 }
 
 /// Transposes a row-major `rows × cols` matrix.
@@ -488,6 +664,215 @@ mod tests {
         let strong = Mlp::fit(&ds, AnnParams::small(1.0, 0.01)).unwrap();
         let norm = |m: &Mlp| -> f32 { m.w1.iter().map(|w| w * w).sum::<f32>().sqrt() };
         assert!(norm(&strong) < norm(&weak));
+    }
+
+    /// The per-row forward pass as it stood before row blocks.
+    fn reference_forward(
+        net: &Mlp,
+        active: &[usize],
+        z1: &mut [f32],
+        a1: &mut [f32],
+        z2: &mut [f32],
+        a2: &mut [f32],
+    ) -> f32 {
+        let (w1, h1) = (net.w1.as_slice(), net.h1);
+        z1.copy_from_slice(&net.b1);
+        for &idx in active {
+            kernels::add_f32(&w1[idx * h1..(idx + 1) * h1], z1);
+        }
+        kernels::relu_f32(z1, a1);
+        for (u, z_out) in z2.iter_mut().enumerate().take(net.h2) {
+            let row = &net.w2[u * h1..(u + 1) * h1];
+            *z_out = kernels::dot_f32(net.b2[u], row, a1);
+        }
+        kernels::relu_f32(z2, a2);
+        kernels::dot_f32(net.b3, &net.w3, a2)
+    }
+
+    /// The minibatch loop as it stood before row blocks: one row's forward
+    /// and backward pass at a time, through single-row kernels.
+    fn reference_sgd_epochs(
+        net: &mut Mlp,
+        ds: &CatDataset,
+        params: &AnnParams,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let n = ds.n_rows();
+        let (h1, h2) = (net.h1, net.h2);
+        let mut opt_w1 = Adam::new(net.w1.len(), params.lr);
+        let mut opt_b1 = Adam::new(h1, params.lr);
+        let mut opt_w2 = Adam::new(net.w2.len(), params.lr);
+        let mut opt_b2 = Adam::new(h2, params.lr);
+        let mut opt_w3 = Adam::new(h2, params.lr);
+        let mut opt_b3 = Adam::new(1, params.lr);
+        let mut g_w1 = vec![0.0f32; net.w1.len()];
+        let mut g_b1 = vec![0.0f32; h1];
+        let mut g_w2 = vec![0.0f32; net.w2.len()];
+        let mut g_b2 = vec![0.0f32; h2];
+        let mut g_w3 = vec![0.0f32; h2];
+        let mut g_b3 = [0.0f32; 1];
+        let mut active = vec![0usize; ds.n_features()];
+        let (mut z1, mut a1, mut d1) = (vec![0.0f32; h1], vec![0.0f32; h1], vec![0.0f32; h1]);
+        let (mut z2, mut a2, mut d2) = (vec![0.0f32; h2], vec![0.0f32; h2], vec![0.0f32; h2]);
+        let mut order: Vec<usize> = (0..n).collect();
+        for _epoch in 0..params.epochs {
+            order.shuffle(rng);
+            for batch in order.chunks(params.batch_size) {
+                for &i in batch {
+                    net.active_indices(ds.row(i), &mut active);
+                    let z3 = reference_forward(net, &active, &mut z1, &mut a1, &mut z2, &mut a2);
+                    let delta3 = sigmoid(z3) - f32::from(u8::from(ds.label(i)));
+                    kernels::axpy_f32(delta3, &a2, &mut g_w3);
+                    g_b3[0] += delta3;
+                    for ((d, &z), &w) in d2.iter_mut().zip(&z2).zip(net.w3.iter()) {
+                        *d = if z > 0.0 { delta3 * w } else { 0.0 };
+                    }
+                    for (u, &du) in d2.iter().enumerate() {
+                        if du != 0.0 {
+                            kernels::axpy_f32(du, &a1, &mut g_w2[u * h1..(u + 1) * h1]);
+                            g_b2[u] += du;
+                        }
+                    }
+                    d1.fill(0.0);
+                    for (u, &du) in d2.iter().enumerate() {
+                        if du != 0.0 {
+                            kernels::axpy_f32(du, &net.w2[u * h1..(u + 1) * h1], &mut d1);
+                        }
+                    }
+                    for (dv, &z) in d1.iter_mut().zip(&z1) {
+                        if z <= 0.0 {
+                            *dv = 0.0;
+                        }
+                    }
+                    for &idx in &active {
+                        kernels::add_f32(&d1, &mut g_w1[idx * h1..(idx + 1) * h1]);
+                    }
+                    kernels::add_f32(&d1, &mut g_b1);
+                }
+                let inv = 1.0 / batch.len() as f32;
+                let l2 = Some(params.l2 as f32);
+                opt_w1.step_fused(&mut net.w1, &mut g_w1, inv, l2);
+                opt_b1.step_fused(&mut net.b1, &mut g_b1, inv, None);
+                opt_w2.step_fused(&mut net.w2, &mut g_w2, inv, l2);
+                opt_b2.step_fused(&mut net.b2, &mut g_b2, inv, None);
+                opt_w3.step_fused(&mut net.w3, &mut g_w3, inv, l2);
+                let mut b3 = [net.b3];
+                opt_b3.step_fused(&mut b3, &mut g_b3, inv, None);
+                net.b3 = b3[0];
+            }
+        }
+    }
+
+    /// Every weight's bit pattern, tensor by tensor.
+    fn weight_bits(m: &Mlp) -> Vec<u32> {
+        let tensors = [&m.w1[..], &m.b1[..], &m.w2[..], &m.b2[..], &m.w3[..]];
+        let mut bits: Vec<u32> = tensors
+            .iter()
+            .flat_map(|t| t.iter().map(|w| w.to_bits()))
+            .collect();
+        bits.push(m.b3.to_bits());
+        bits
+    }
+
+    /// `n` random rows over three features (cardinalities 3, 2, 4, so rows
+    /// repeat), then the first five rows again.
+    fn small_random(n: usize, seed: u64) -> CatDataset {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cards = [3u32, 2, 4];
+        let mut rows = Vec::new();
+        let mut labels = Vec::new();
+        for _ in 0..n {
+            for &k in &cards {
+                rows.push(rng.gen_range(0..k));
+            }
+            labels.push(rng.gen_bool(0.5));
+        }
+        rows.extend_from_within(..5 * cards.len());
+        labels.extend_from_within(..5);
+        let meta = cards
+            .iter()
+            .enumerate()
+            .map(|(j, &k)| FeatureMeta::new(format!("f{j}"), k, Provenance::Home))
+            .collect();
+        CatDataset::new(meta, rows, labels).unwrap()
+    }
+
+    #[test]
+    fn blocked_training_matches_the_per_row_loop_bitwise() {
+        let ds = small_random(18, 3); // 23 rows: odd tails for batches 4 and 7
+        for h1 in [1, 7, 37, 256] {
+            for h2 in [1, 5, 64] {
+                for batch_size in [1, 4, 7, 64] {
+                    let p = AnnParams {
+                        hidden1: h1,
+                        hidden2: h2,
+                        epochs: 3,
+                        batch_size,
+                        ..AnnParams::new(1e-3, 0.05)
+                    };
+                    let shape = format!("h1={h1} h2={h2} batch={batch_size}");
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(p.seed);
+                    let mut want = Mlp::init(&ds, &p, &mut rng);
+                    reference_sgd_epochs(&mut want, &ds, &p, &mut rng);
+                    let got = Mlp::fit(&ds, p).unwrap();
+                    assert_eq!(weight_bits(&got), weight_bits(&want), "fit {shape}");
+
+                    let refresh = AnnParams {
+                        batch_size: 5,
+                        seed: 9,
+                        ..p
+                    };
+                    let mut want_refresh = want.clone();
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(refresh.seed);
+                    reference_sgd_epochs(&mut want_refresh, &ds, &refresh, &mut rng);
+                    let got_refresh = got.fit_incremental(&ds, refresh).unwrap();
+                    assert_eq!(
+                        weight_bits(&got_refresh),
+                        weight_bits(&want_refresh),
+                        "fit_incremental {shape}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_logits_match_single_row_logits_bitwise() {
+        let ds = small_random(18, 4);
+        let m = Mlp::fit(&ds, AnnParams::small(1e-3, 0.05)).unwrap();
+        for n in [0, 1, 2, 3, 23] {
+            let rows: Vec<u32> = (0..n).flat_map(|i| ds.row(i).to_vec()).collect();
+            let mut got = Vec::new();
+            m.logits_scratch(&rows, ds.n_features(), &mut m.scratch(), |z| {
+                got.push(z.to_bits())
+            });
+            let want: Vec<u32> = (0..n).map(|i| m.logit(ds.row(i)).to_bits()).collect();
+            assert_eq!(got, want, "n={n}");
+        }
+    }
+
+    #[test]
+    fn zero_batch_size_is_invalid_for_fit() {
+        let p = AnnParams {
+            batch_size: 0,
+            ..AnnParams::small(1e-3, 0.01)
+        };
+        assert!(matches!(Mlp::fit(&xor(2), p), Err(MlError::Invalid(_))));
+    }
+
+    #[test]
+    fn zero_batch_size_is_invalid_for_fit_incremental() {
+        let ds = xor(2);
+        let base = Mlp::fit(&ds, AnnParams::small(1e-3, 0.01)).unwrap();
+        let p = AnnParams {
+            batch_size: 0,
+            ..AnnParams::small(1e-3, 0.01)
+        };
+        assert!(matches!(
+            base.fit_incremental(&ds, p),
+            Err(MlError::Invalid(_))
+        ));
     }
 
     #[test]

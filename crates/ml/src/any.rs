@@ -165,10 +165,7 @@ impl AnyClassifier {
     fn predict_chunk(&self, rows: &[u32], d: usize, out: &mut Vec<bool>) {
         match self {
             AnyClassifier::Mlp(m) => {
-                let mut s = m.scratch();
-                for row in rows.chunks_exact(d) {
-                    out.push(m.logit_scratch(row, &mut s) >= 0.0);
-                }
+                m.logits_scratch(rows, d, &mut m.scratch(), |z| out.push(z >= 0.0))
             }
             AnyClassifier::Quantized(q) => {
                 let mut s = q.scratch();
@@ -446,10 +443,7 @@ impl AnyClassifier {
     fn score_chunk(&self, rows: &[u32], d: usize, out: &mut Vec<f64>) {
         match self {
             AnyClassifier::Mlp(m) => {
-                let mut s = m.scratch();
-                for row in rows.chunks_exact(d) {
-                    out.push(f64::from(m.logit_scratch(row, &mut s)));
-                }
+                m.logits_scratch(rows, d, &mut m.scratch(), |z| out.push(f64::from(z)))
             }
             AnyClassifier::Quantized(q) => {
                 let mut s = q.scratch();

@@ -108,6 +108,24 @@ pub fn dot_f32(init: f32, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// `R` dense dot products against one shared operand: `out[r] = init +
+/// Σ w[i]·x[r][i]`, each row with [`dot_f32`]'s accumulation partition
+/// for the tier, so `out[r]` is bit-for-bit `dot_f32(init, w, x[r])`.
+/// One load of `w` feeds all `R` rows: the MLP's row blocks stream each
+/// `w2` row once per block instead of once per row.
+#[inline]
+pub fn dot_rows_f32<const R: usize>(init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
+    debug_assert!(x.iter().all(|x| x.len() == w.len()));
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: dispatch reaches these arms only after CPUID detection.
+        Backend::Avx2 => unsafe { x86::dot_rows_f32_avx2(init, w, x) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { x86::dot_rows_f32_sse2(init, w, x) },
+        _ => scalar::dot_rows_f32(init, w, x),
+    }
+}
+
 /// Exact integer dot product `Σ a[i]·b[i]` over i8 operands, accumulated in
 /// i32. Addition of integers is associative, so every tier returns the same
 /// bits — quantized-model predictions never depend on the backend.
@@ -189,6 +207,32 @@ pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
+/// The MLP's fused layer-2 backward step for one unit over `R` rows: for
+/// each row `r` in order, `g[i] += a[r]·x[r][i]` and `d[r][i] += a[r]·w[i]`.
+/// Both are [`axpy_f32`]'s multiply-then-add (never a fused multiply-add),
+/// and `g` takes the rows in order, so every element rounds exactly as `2R`
+/// single-row axpy calls would, in every tier. One pass loads `w` and `g`
+/// once for all rows.
+#[inline]
+pub fn axpy_rows_f32<const R: usize>(
+    a: [f32; R],
+    x: [&[f32]; R],
+    w: &[f32],
+    g: &mut [f32],
+    d: [&mut [f32]; R],
+) {
+    debug_assert!(x.iter().all(|x| x.len() == w.len()));
+    debug_assert!(d.iter().all(|d| d.len() == w.len()) && g.len() == w.len());
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: dispatch reaches these arms only after CPUID detection.
+        Backend::Avx2 => unsafe { x86::axpy_rows_f32_avx2(a, x, w, g, d) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { x86::axpy_rows_f32_sse2(a, x, w, g, d) },
+        _ => scalar::axpy_rows_f32(a, x, w, g, d),
+    }
+}
+
 /// Elementwise `y[i] += x[i]`. One rounding per element, so every tier
 /// agrees bit-for-bit.
 #[inline]
@@ -240,6 +284,12 @@ pub mod scalar {
             z += x * y;
         }
         z
+    }
+
+    /// See [`super::dot_rows_f32`]. Each row's sequential loop.
+    #[inline]
+    pub fn dot_rows_f32<const R: usize>(init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
+        x.map(|x| dot_f32(init, w, x))
     }
 
     /// See [`super::dot_i8`].
@@ -303,6 +353,21 @@ pub mod scalar {
     pub fn add_f32(x: &[f32], y: &mut [f32]) {
         for (v, &xi) in y.iter_mut().zip(x) {
             *v += xi;
+        }
+    }
+
+    /// See [`super::axpy_rows_f32`].
+    #[inline]
+    pub fn axpy_rows_f32<const R: usize>(
+        a: [f32; R],
+        x: [&[f32]; R],
+        w: &[f32],
+        g: &mut [f32],
+        d: [&mut [f32]; R],
+    ) {
+        for r in 0..R {
+            axpy_f32(a[r], x[r], g);
+            axpy_f32(a[r], w, d[r]);
         }
     }
 
@@ -444,6 +509,90 @@ pub mod x86 {
             i += 1;
         }
         init + sum
+    }
+
+    /// The shortest of `w` and every `x[r]`.
+    fn common_len<const R: usize>(w: &[f32], x: &[&[f32]; R]) -> usize {
+        x.iter().fold(w.len(), |n, x| n.min(x.len()))
+    }
+
+    /// AVX2 [`super::dot_rows_f32`]: per row, the same 4 × 8-lane
+    /// accumulators, reduction and scalar tail as [`dot_f32_avx2`]; each
+    /// 8-lane load of `w` is multiplied into all `R` rows.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_rows_f32_avx2<const R: usize>(
+        init: f32,
+        w: &[f32],
+        x: [&[f32]; R],
+    ) -> [f32; R] {
+        let n = common_len(w, &x);
+        let (pw, px) = (w.as_ptr(), x.map(<[f32]>::as_ptr));
+        let mut acc = [[_mm256_setzero_ps(); 4]; R];
+        let mut i = 0;
+        while i + 32 <= n {
+            for k in 0..4 {
+                let wv = _mm256_loadu_ps(pw.add(i + 8 * k));
+                for (acc, p) in acc.iter_mut().zip(px) {
+                    let prod = _mm256_mul_ps(wv, _mm256_loadu_ps(p.add(i + 8 * k)));
+                    acc[k] = _mm256_add_ps(acc[k], prod);
+                }
+            }
+            i += 32;
+        }
+        while i + 8 <= n {
+            let wv = _mm256_loadu_ps(pw.add(i));
+            for (acc, p) in acc.iter_mut().zip(px) {
+                acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(wv, _mm256_loadu_ps(p.add(i))));
+            }
+            i += 8;
+        }
+        let mut out = [0f32; R];
+        for ((o, [a0, a1, a2, a3]), x) in out.iter_mut().zip(acc).zip(x) {
+            let mut sum = hsum256_ps(_mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)));
+            for j in i..n {
+                sum += w[j] * x[j];
+            }
+            *o = init + sum;
+        }
+        out
+    }
+
+    /// SSE2 [`super::dot_rows_f32`]: per row, [`dot_f32_sse2`]'s 2 × 4-lane
+    /// accumulators, reduction and tail.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn dot_rows_f32_sse2<const R: usize>(
+        init: f32,
+        w: &[f32],
+        x: [&[f32]; R],
+    ) -> [f32; R] {
+        let n = common_len(w, &x);
+        let (pw, px) = (w.as_ptr(), x.map(<[f32]>::as_ptr));
+        let mut acc = [[_mm_setzero_ps(); 2]; R];
+        let mut i = 0;
+        while i + 8 <= n {
+            for k in 0..2 {
+                let wv = _mm_loadu_ps(pw.add(i + 4 * k));
+                for (acc, p) in acc.iter_mut().zip(px) {
+                    acc[k] = _mm_add_ps(acc[k], _mm_mul_ps(wv, _mm_loadu_ps(p.add(i + 4 * k))));
+                }
+            }
+            i += 8;
+        }
+        let mut out = [0f32; R];
+        for ((o, [a0, a1]), x) in out.iter_mut().zip(acc).zip(x) {
+            let mut sum = hsum128_ps(_mm_add_ps(a0, a1));
+            for j in i..n {
+                sum += w[j] * x[j];
+            }
+            *o = init + sum;
+        }
+        out
     }
 
     /// AVX2 [`super::dot_i8`]: 32 bytes per iteration, sign-extended to i16
@@ -793,6 +942,87 @@ pub mod x86 {
         }
     }
 
+    /// AVX2 [`super::axpy_rows_f32`]: per 8 lanes, one load of `w` and of
+    /// `g`, then each row's two `vmulps` + `vaddps` in row order.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn axpy_rows_f32_avx2<const R: usize>(
+        a: [f32; R],
+        x: [&[f32]; R],
+        w: &[f32],
+        g: &mut [f32],
+        mut d: [&mut [f32]; R],
+    ) {
+        let n = common_len(w, &x).min(g.len());
+        let n = d.iter().fold(n, |n, d| n.min(d.len()));
+        let (pw, pg) = (w.as_ptr(), g.as_mut_ptr());
+        let px = x.map(<[f32]>::as_ptr);
+        let pd = d.each_mut().map(|d| d.as_mut_ptr());
+        let va = a.map(|a| _mm256_set1_ps(a));
+        let mut i = 0;
+        while i + 8 <= n {
+            let wv = _mm256_loadu_ps(pw.add(i));
+            let mut gv = _mm256_loadu_ps(pg.add(i));
+            for r in 0..R {
+                let gx = _mm256_mul_ps(va[r], _mm256_loadu_ps(px[r].add(i)));
+                gv = _mm256_add_ps(gv, gx);
+                let dw = _mm256_mul_ps(va[r], wv);
+                _mm256_storeu_ps(
+                    pd[r].add(i),
+                    _mm256_add_ps(_mm256_loadu_ps(pd[r].add(i)), dw),
+                );
+            }
+            _mm256_storeu_ps(pg.add(i), gv);
+            i += 8;
+        }
+        for j in i..n {
+            for r in 0..R {
+                g[j] += a[r] * x[r][j];
+                d[r][j] += a[r] * w[j];
+            }
+        }
+    }
+
+    /// SSE2 [`super::axpy_rows_f32`]: 4 lanes a step.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn axpy_rows_f32_sse2<const R: usize>(
+        a: [f32; R],
+        x: [&[f32]; R],
+        w: &[f32],
+        g: &mut [f32],
+        mut d: [&mut [f32]; R],
+    ) {
+        let n = common_len(w, &x).min(g.len());
+        let n = d.iter().fold(n, |n, d| n.min(d.len()));
+        let (pw, pg) = (w.as_ptr(), g.as_mut_ptr());
+        let px = x.map(<[f32]>::as_ptr);
+        let pd = d.each_mut().map(|d| d.as_mut_ptr());
+        let va = a.map(|a| _mm_set1_ps(a));
+        let mut i = 0;
+        while i + 4 <= n {
+            let wv = _mm_loadu_ps(pw.add(i));
+            let mut gv = _mm_loadu_ps(pg.add(i));
+            for r in 0..R {
+                gv = _mm_add_ps(gv, _mm_mul_ps(va[r], _mm_loadu_ps(px[r].add(i))));
+                let dv = _mm_add_ps(_mm_loadu_ps(pd[r].add(i)), _mm_mul_ps(va[r], wv));
+                _mm_storeu_ps(pd[r].add(i), dv);
+            }
+            _mm_storeu_ps(pg.add(i), gv);
+            i += 4;
+        }
+        for j in i..n {
+            for r in 0..R {
+                g[j] += a[r] * x[r][j];
+                d[r][j] += a[r] * w[j];
+            }
+        }
+    }
+
     /// AVX2 [`super::add_f32`].
     ///
     /// # Safety
@@ -1090,6 +1320,153 @@ mod tests {
                 let mut got = y0.clone();
                 add(&x, &mut got);
                 assert_eq!(bits(&got), bits(&want), "{name} add n={n}");
+            }
+        }
+    }
+
+    /// A kernel tier a parity test can pin, whatever dispatch selected.
+    #[derive(Debug, Clone, Copy)]
+    enum Tier {
+        Dispatched,
+        Scalar,
+        #[cfg(target_arch = "x86_64")]
+        Sse2,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+    }
+
+    /// Every tier this host can run.
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Dispatched, Tier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            tiers.push(Tier::Sse2);
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+        }
+        tiers
+    }
+
+    // Safety (every `unsafe` block in the four helpers below): `tiers()`
+    // lists a SIMD tier only after its feature check, and SSE2 is the
+    // x86-64 baseline.
+
+    fn dot_in(t: Tier, init: f32, a: &[f32], b: &[f32]) -> f32 {
+        match t {
+            Tier::Dispatched => dot_f32(init, a, b),
+            Tier::Scalar => scalar::dot_f32(init, a, b),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Sse2 => unsafe { x86::dot_f32_sse2(init, a, b) },
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { x86::dot_f32_avx2(init, a, b) },
+        }
+    }
+
+    fn dot_rows_in<const R: usize>(t: Tier, init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
+        match t {
+            Tier::Dispatched => dot_rows_f32(init, w, x),
+            Tier::Scalar => scalar::dot_rows_f32(init, w, x),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Sse2 => unsafe { x86::dot_rows_f32_sse2(init, w, x) },
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { x86::dot_rows_f32_avx2(init, w, x) },
+        }
+    }
+
+    fn axpy_in(t: Tier, a: f32, x: &[f32], y: &mut [f32]) {
+        match t {
+            Tier::Dispatched => axpy_f32(a, x, y),
+            Tier::Scalar => scalar::axpy_f32(a, x, y),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Sse2 => unsafe { x86::axpy_f32_sse2(a, x, y) },
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { x86::axpy_f32_avx2(a, x, y) },
+        }
+    }
+
+    fn axpy_rows_in<const R: usize>(
+        t: Tier,
+        a: [f32; R],
+        x: [&[f32]; R],
+        w: &[f32],
+        g: &mut [f32],
+        d: [&mut [f32]; R],
+    ) {
+        match t {
+            Tier::Dispatched => axpy_rows_f32(a, x, w, g, d),
+            Tier::Scalar => scalar::axpy_rows_f32(a, x, w, g, d),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Sse2 => unsafe { x86::axpy_rows_f32_sse2(a, x, w, g, d) },
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { x86::axpy_rows_f32_avx2(a, x, w, g, d) },
+        }
+    }
+
+    /// `values` with every non-finite element replaced by 1.0.
+    fn finite(mut values: Vec<f32>) -> Vec<f32> {
+        for v in &mut values {
+            if !v.is_finite() {
+                *v = 1.0;
+            }
+        }
+        values
+    }
+
+    /// Checks the `R`-row kernels of tier `t` against `R` single-row calls
+    /// of the same tier, bit for bit, on length-`n` operands.
+    fn check_rows<const R: usize>(t: Tier, n: usize) {
+        let seed = 1000 * R as u64 + n as u64;
+        let inputs: [fn(usize, u64) -> Vec<f32>; 3] =
+            [f32s, edge_f32s, |n, seed| finite(edge_f32s(n, seed))];
+        for make in inputs {
+            let w = make(n, seed);
+            let xs: Vec<Vec<f32>> = (0..R).map(|r| make(n, seed + 7 * r as u64 + 1)).collect();
+            let x: [&[f32]; R] = std::array::from_fn(|r| &xs[r][..]);
+            for init in [0.75f32, -0.0, f32::from_bits(5)] {
+                let got = dot_rows_in(t, init, &w, x);
+                for r in 0..R {
+                    let want = dot_in(t, init, &w, x[r]);
+                    assert_eq!(
+                        bits(&[got[r]]),
+                        bits(&[want]),
+                        "{t:?} dot R={R} r={r} n={n}"
+                    );
+                }
+            }
+
+            let scales = [1.5f32, -0.0, 0.0, f32::NAN, f32::from_bits(3), 1e30, -2.25];
+            for k in 0..scales.len() {
+                let a: [f32; R] = std::array::from_fn(|r| scales[(k + r) % scales.len()]);
+                let g0 = make(n, seed + 100);
+                let d0: Vec<Vec<f32>> = (0..R).map(|r| make(n, seed + 200 + r as u64)).collect();
+                let (mut g, mut d) = (g0.clone(), d0.clone());
+                let mut d_rows = d.iter_mut();
+                let d_rows = std::array::from_fn(|_| &mut d_rows.next().unwrap()[..]);
+                axpy_rows_in(t, a, x, &w, &mut g, d_rows);
+                let (mut want_g, mut want_d) = (g0, d0);
+                for r in 0..R {
+                    axpy_in(t, a[r], x[r], &mut want_g);
+                    axpy_in(t, a[r], &w, &mut want_d[r]);
+                }
+                let ctx = format!("{t:?} axpy_rows R={R} n={n} a={a:?}");
+                assert_eq!(bits(&g), bits(&want_g), "{ctx} g");
+                for r in 0..R {
+                    assert_eq!(bits(&d[r]), bits(&want_d[r]), "{ctx} d[{r}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernels_match_single_row_kernels_bitwise_in_every_tier() {
+        let mut lens: Vec<usize> = (0..=17).collect();
+        lens.extend([31, 32, 33, 64, 256]);
+        for t in tiers() {
+            for &n in &lens {
+                check_rows::<1>(t, n);
+                check_rows::<2>(t, n);
+                check_rows::<3>(t, n);
             }
         }
     }
