@@ -12,16 +12,17 @@
 //! alike. Only the artifact keeps the row-major `h1 × d_in` layout: the
 //! codec transposes on the way to and from disk.
 //!
-//! Training and batch prediction run rows in blocks of two. The dense
-//! layers stream each `w2` row once per block: the forward pass computes
-//! both rows' dots against it ([`kernels::dot_rows_f32`]), and the backward
-//! pass adds both rows' contributions to its gradient row and both rows'
-//! `d1` in one fused pass ([`kernels::axpy_rows_f32`]). A minibatch's
-//! weights are fixed until its optimizer step, and every gradient element
-//! still takes its terms in the per-row loop's order — rows in batch order,
-//! hidden units in index order, each a multiply then an add — so the
-//! blocked loop returns the per-row loop's bits in every kernel tier. A
-//! row's logit likewise does not depend on the row beside it.
+//! Training and batch prediction run rows in blocks of two (`BLOCK`).
+//! The dense layers stream each `w2` row once per block: the forward pass
+//! computes both rows' dots against it ([`kernels::dense_forward_f32`]),
+//! and the backward pass adds both rows' terms to its gradient row and to
+//! both rows' `d1` in one pass ([`kernels::dense_backward_f32`]). This is
+//! exact: a minibatch's weights are fixed until its optimizer step, and
+//! every gradient element still takes its terms in the per-row loop's
+//! order — rows in batch order, hidden units in index order, each a
+//! multiply then an add, a unit with a zero delta skipped — so the blocked
+//! loop returns the per-row loop's bits in every kernel tier. A row's logit
+//! likewise does not depend on the row beside it.
 
 pub mod adam;
 
@@ -118,10 +119,6 @@ pub struct Mlp {
 /// Rows per block: training and batch prediction run the dense layers for
 /// this many rows against each `w2` row they load.
 const BLOCK: usize = 2;
-const _: () = assert!(
-    BLOCK >= 1 && BLOCK <= 4,
-    "backprop_block dispatches 1 to 4 live rows"
-);
 
 /// Minibatch gradient accumulators, shaped like the network's tensors
 /// (`w1` column-major). Each optimizer step re-zeroes the gradient it
@@ -265,16 +262,10 @@ impl Mlp {
     /// Adds the gradients of the rows `block` (at most [`BLOCK`], in batch
     /// order) into `g`.
     ///
-    /// A full block runs its dense layers together: the forward pass loads
-    /// each `w2` row once for all rows, and the layer-2 backward step loads
-    /// each `w2` and `g.w2` row once for all rows whose `du ≠ 0`. A partial
-    /// block runs row by row. Each gradient element still takes its
-    /// contributions in batch-row order (and `d1` in unit order), each a
-    /// multiply then an add, and a row with `du == 0` still skips unit `u`
-    /// (`0·inf` would be NaN), so this returns the per-row loop's bits.
-    /// Accumulators start at `+0.0` and never become `-0.0`, so adding a
-    /// zero delta (where a dead unit used to be skipped) leaves them as
-    /// they are.
+    /// A full block runs its dense layers together (see the module doc); a
+    /// partial block runs row by row. Accumulators start at `+0.0` and
+    /// never become `-0.0`, so adding the zeros of a masked `d1` or a dead
+    /// `a2` unit leaves them as they are.
     fn backprop_block(
         &self,
         ds: &CatDataset,
@@ -323,30 +314,30 @@ impl Mlp {
 
         // Layer 2 gradients, and d1 = W2ᵀ d2 for every row.
         d1[..rows * h1].fill(0.0);
-        let a1 = slots::<BLOCK>(&s.a1, h1);
-        let mut d1_rows = slots_mut::<BLOCK>(d1, h1);
-        for u in 0..h2 {
-            let du: [f32; BLOCK] = std::array::from_fn(|r| d2[r * h2 + u]);
-            let du = &du[..rows];
-            let w2 = &self.w2[u * h1..(u + 1) * h1];
-            let g_w2 = &mut g.w2[u * h1..(u + 1) * h1];
-            match du.iter().filter(|&&v| v != 0.0).count() {
-                0 => {}
-                1 => backprop_unit::<1>(du, &a1, w2, g_w2, &mut d1_rows),
-                2 => backprop_unit::<2>(du, &a1, w2, g_w2, &mut d1_rows),
-                3 => backprop_unit::<3>(du, &a1, w2, g_w2, &mut d1_rows),
-                4 => backprop_unit::<4>(du, &a1, w2, g_w2, &mut d1_rows),
-                _ => unreachable!("blocks hold at most 4 rows"),
+        if rows == BLOCK {
+            let (d2, a1) = (slots::<BLOCK>(d2, h2), slots(&s.a1, h1));
+            kernels::dense_backward_f32(d2, a1, &self.w2, &mut g.w2, slots_mut(d1, h1));
+        } else {
+            for r in 0..rows {
+                let (d2, a1) = ([&d2[r * h2..(r + 1) * h2]], [&s.a1[r * h1..(r + 1) * h1]]);
+                let d1 = [&mut d1[r * h1..(r + 1) * h1]];
+                kernels::dense_backward_f32(d2, a1, &self.w2, &mut g.w2, d1);
             }
-            for &v in du.iter().filter(|&&v| v != 0.0) {
-                g.b2[u] += v;
+        }
+        for (u, g_b2) in g.b2.iter_mut().enumerate() {
+            for r in 0..rows {
+                let du = d2[r * h2 + u];
+                if du != 0.0 {
+                    *g_b2 += du;
+                }
             }
         }
 
         // d1 ⊙ relu'(z1), branch-free (a NaN z1 keeps its delta, as the
         // branch did), then scatter into the active W1 columns (rows of
         // `g.w1`).
-        for (r, d1) in d1_rows.into_iter().enumerate().take(rows) {
+        for r in 0..rows {
+            let d1 = &mut d1[r * h1..(r + 1) * h1];
             for (dv, &z) in d1.iter_mut().zip(&s.z1[r * h1..(r + 1) * h1]) {
                 *dv = if z <= 0.0 { 0.0 } else { *dv };
             }
@@ -372,9 +363,9 @@ impl Mlp {
     /// onto the bias, in feature order, so every unit sums the same values
     /// in the same order as a per-unit gather would. The dense
     /// hidden→hidden and hidden→output products run on
-    /// [`kernels::dot_rows_f32`], which feeds each loaded weight row to all
-    /// `R` rows and gives each row [`kernels::dot_f32`]'s bits, so a row's
-    /// logit does not depend on `R` or on the rows beside it. Under
+    /// [`kernels::dense_forward_f32`], which feeds each loaded weight row to
+    /// all `R` rows and gives each row [`kernels::dot_f32`]'s bits, so a
+    /// row's logit does not depend on `R` or on the rows beside it. Under
     /// `HAMLET_FORCE_SCALAR` the kernel reference path reproduces the
     /// historical accumulation order bit-for-bit.
     ///
@@ -400,17 +391,14 @@ impl Mlp {
             }
             kernels::relu_f32(z, &mut a1[r * h1..(r + 1) * h1]);
         }
-        let x1 = slots::<R>(a1, h1);
-        for u in 0..h2 {
-            let z = kernels::dot_rows_f32(self.b2[u], &self.w2[u * h1..(u + 1) * h1], x1);
-            for (r, z) in z.into_iter().enumerate() {
-                z2[r * h2 + u] = z;
-            }
-        }
+        kernels::dense_forward_f32(&self.w2, &self.b2, slots::<R>(a1, h1), slots_mut(z2, h2));
         for r in 0..R {
             kernels::relu_f32(&z2[r * h2..(r + 1) * h2], &mut a2[r * h2..(r + 1) * h2]);
         }
-        kernels::dot_rows_f32(self.b3, &self.w3, slots::<R>(a2, h2))
+        let mut z3 = [0.0f32; R];
+        let out = z3.each_mut().map(std::slice::from_mut);
+        kernels::dense_forward_f32(&self.w3, &[self.b3], slots(a2, h2), out);
+        z3
     }
 
     /// Reusable per-thread forward-pass buffers, with room for a block of
@@ -435,7 +423,7 @@ impl Mlp {
     }
 
     /// Output logits of the row-major `rows` (`d > 0` codes each), passed
-    /// to `emit` in row order. Rows run [`BLOCK`] at a time through the
+    /// to `emit` in row order. Rows run two at a time through the
     /// dense layers, a trailing partial block row by row; every logit is
     /// bit-for-bit [`Mlp::logit`] of its row. The scratch must come from
     /// [`Mlp::scratch`] on a same-shaped network.
@@ -482,32 +470,6 @@ pub struct MlpScratch {
     a1: Vec<f32>,
     z2: Vec<f32>,
     a2: Vec<f32>,
-}
-
-/// One unit's layer-2 backward step over the `K` rows whose delta in `du`
-/// is non-zero, in row order: one fused kernel call adds `du[r]·a1[r]` into
-/// the unit's `w2` gradient row and `du[r]·w2` into `d1[r]`.
-#[inline(always)]
-fn backprop_unit<const K: usize>(
-    du: &[f32],
-    a1: &[&[f32]],
-    w2: &[f32],
-    g_w2: &mut [f32],
-    d1: &mut [&mut [f32]],
-) {
-    let mut live = du
-        .iter()
-        .zip(a1)
-        .zip(d1.iter_mut())
-        .filter(|((&v, _), _)| v != 0.0);
-    let mut a = [0.0; K];
-    let mut x: [&[f32]; K] = [&[]; K];
-    let d: [&mut [f32]; K] = std::array::from_fn(|k| {
-        let ((&v, &xr), dr) = live.next().expect("K live rows");
-        (a[k], x[k]) = (v, xr);
-        &mut **dr
-    });
-    kernels::axpy_rows_f32(a, x, w2, g_w2, d);
 }
 
 /// `AnnParams::batch_size` must be positive.

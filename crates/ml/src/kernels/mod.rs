@@ -4,9 +4,12 @@
 //! hidden→output GEMV rows, the SVM's match-count kernel evaluations, the
 //! logreg one-hot gather-sum, and the quantized i8 variants — funnels
 //! through this module. Training shares the same kernels (the MLP's forward
-//! pass, the SVM match matrix) and adds two elementwise updates for the
-//! MLP's backward pass, [`axpy_f32`] and [`add_f32`], and SMO's partner
-//! search, [`argmax_gap_f64`].
+//! pass, the SVM match matrix) and adds the MLP's backward steps, the
+//! elementwise [`axpy_f32`] and [`add_f32`] and the dense-layer
+//! [`dense_backward_f32`], and SMO's partner search, [`argmax_gap_f64`].
+//! The MLP's dense layers run a block of rows per call
+//! ([`dense_forward_f32`], [`dense_backward_f32`]), each row with the
+//! single-row kernels' bits.
 //!
 //! Dispatch is decided **once per process**: the first call probes the CPU
 //! with `is_x86_feature_detected!` and caches a [`Backend`] in a
@@ -23,9 +26,9 @@
 //!   *definition* of every kernel's result: the f32/f64 SIMD tiers may
 //!   re-associate sums (tolerance-tested, ≤1e-5 relative), while the
 //!   integer kernels ([`dot_i8`], [`match_count_u32`]), the elementwise
-//!   updates ([`axpy_f32`], [`add_f32`]) and the partner search
-//!   ([`argmax_gap_f64`]) are exact in every tier and therefore
-//!   backend-independent bit-for-bit.
+//!   updates ([`axpy_f32`], [`add_f32`], [`dense_backward_f32`]) and the
+//!   partner search ([`argmax_gap_f64`]) are exact in every tier and
+//!   therefore backend-independent bit-for-bit.
 //!
 //! Setting the environment variable `HAMLET_FORCE_SCALAR` (to anything but
 //! `""` or `"0"`) before the first inference pins the process to the scalar
@@ -108,21 +111,29 @@ pub fn dot_f32(init: f32, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// `R` dense dot products against one shared operand: `out[r] = init +
-/// Σ w[i]·x[r][i]`, each row with [`dot_f32`]'s accumulation partition
-/// for the tier, so `out[r]` is bit-for-bit `dot_f32(init, w, x[r])`.
-/// One load of `w` feeds all `R` rows: the MLP's row blocks stream each
-/// `w2` row once per block instead of once per row.
+/// A dense layer's forward products over `R` rows: `out[r][u] = bias[u] +
+/// w[u]·x[r]` for every unit `u`, where `w[u]` is row `u` of the row-major
+/// `bias.len() × x[r].len()` matrix `w`. Each product keeps [`dot_f32`]'s
+/// accumulation partition for the tier, so `out[r][u]` is bit-for-bit
+/// `dot_f32(bias[u], w[u], x[r])`, and one load of each weight feeds all
+/// `R` rows: the MLP's row blocks stream `w2` once per block instead of
+/// once per row. One dispatch covers the whole layer.
 #[inline]
-pub fn dot_rows_f32<const R: usize>(init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
-    debug_assert!(x.iter().all(|x| x.len() == w.len()));
+pub fn dense_forward_f32<const R: usize>(
+    w: &[f32],
+    bias: &[f32],
+    x: [&[f32]; R],
+    out: [&mut [f32]; R],
+) {
+    debug_assert!(x.iter().all(|x| x.len() * bias.len() == w.len()));
+    debug_assert!(out.iter().all(|o| o.len() == bias.len()));
     match backend() {
         #[cfg(target_arch = "x86_64")]
         // Safety: dispatch reaches these arms only after CPUID detection.
-        Backend::Avx2 => unsafe { x86::dot_rows_f32_avx2(init, w, x) },
+        Backend::Avx2 => unsafe { x86::dense_forward_f32_avx2(w, bias, x, out) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::dot_rows_f32_sse2(init, w, x) },
-        _ => scalar::dot_rows_f32(init, w, x),
+        Backend::Sse2 => unsafe { x86::dense_forward_f32_sse2(w, bias, x, out) },
+        _ => scalar::dense_forward_f32(w, bias, x, out),
     }
 }
 
@@ -207,30 +218,78 @@ pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// The MLP's fused layer-2 backward step for one unit over `R` rows: for
-/// each row `r` in order, `g[i] += a[r]·x[r][i]` and `d[r][i] += a[r]·w[i]`.
-/// Both are [`axpy_f32`]'s multiply-then-add (never a fused multiply-add),
-/// and `g` takes the rows in order, so every element rounds exactly as `2R`
-/// single-row axpy calls would, in every tier. One pass loads `w` and `g`
-/// once for all rows.
+/// A dense layer's backward step over `R` rows, skipping zero deltas: for
+/// each unit `u` in order, and each row `r` in order whose `delta[r][u] ≠
+/// 0`, `g[u] += delta[r][u]·x[r]` and `d[r] += delta[r][u]·w[u]`, where
+/// `w[u]` and `g[u]` are row `u` of the row-major `delta[r].len() ×
+/// x[r].len()` matrices. Each is [`axpy_f32`]'s multiply then add (never a
+/// fused multiply-add) in the per-unit, per-row loop's order, so every tier
+/// returns that loop's bits; a zero delta stays skipped because `0·inf` is
+/// NaN. A unit live in every row updates its `g` row and every `d[r]` in
+/// one pass, loading `w[u]` and `g[u]` once. One dispatch covers the whole
+/// layer.
 #[inline]
-pub fn axpy_rows_f32<const R: usize>(
-    a: [f32; R],
+pub fn dense_backward_f32<const R: usize>(
+    delta: [&[f32]; R],
     x: [&[f32]; R],
     w: &[f32],
     g: &mut [f32],
     d: [&mut [f32]; R],
 ) {
-    debug_assert!(x.iter().all(|x| x.len() == w.len()));
-    debug_assert!(d.iter().all(|d| d.len() == w.len()) && g.len() == w.len());
+    debug_assert!(delta
+        .iter()
+        .zip(&x)
+        .all(|(u, x)| u.len() * x.len() == w.len()));
+    debug_assert!(d.iter().zip(&x).all(|(d, x)| d.len() == x.len()) && g.len() == w.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
         // Safety: dispatch reaches these arms only after CPUID detection.
-        Backend::Avx2 => unsafe { x86::axpy_rows_f32_avx2(a, x, w, g, d) },
+        Backend::Avx2 => unsafe { x86::dense_backward_f32_avx2(delta, x, w, g, d) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::axpy_rows_f32_sse2(a, x, w, g, d) },
-        _ => scalar::axpy_rows_f32(a, x, w, g, d),
+        Backend::Sse2 => unsafe { x86::dense_backward_f32_sse2(delta, x, w, g, d) },
+        _ => scalar::dense_backward_f32(delta, x, w, g, d),
     }
+}
+
+/// Runs [`dense_backward_f32`] unit by unit over row-major `units × width`
+/// matrices: `fused` takes a unit live in every row, `single` each live row
+/// of any other unit, in row order. Shared by every tier, so all of them
+/// skip and order exactly alike.
+#[inline(always)]
+fn backward_units<const R: usize>(
+    delta: [&[f32]; R],
+    x: [&[f32]; R],
+    w: &[f32],
+    g: &mut [f32],
+    mut d: [&mut [f32]; R],
+    mut fused: impl FnMut([f32; R], [&[f32]; R], &[f32], &mut [f32], [&mut [f32]; R]),
+    mut single: impl FnMut(f32, &[f32], &[f32], &mut [f32], &mut [f32]),
+) {
+    let units = delta.iter().map(|u| u.len()).min().unwrap_or(0);
+    let width = w.len().checked_div(units).unwrap_or(0);
+    for u in 0..units {
+        let a: [f32; R] = std::array::from_fn(|r| delta[r][u]);
+        let (w_u, g_u) = (
+            &w[u * width..(u + 1) * width],
+            &mut g[u * width..(u + 1) * width],
+        );
+        if a.iter().all(|&v| v != 0.0) {
+            fused(a, x, w_u, g_u, d.each_mut().map(|d| &mut **d));
+        } else {
+            for r in 0..R {
+                if a[r] != 0.0 {
+                    single(a[r], x[r], w_u, g_u, d[r]);
+                }
+            }
+        }
+    }
+}
+
+/// Row `u` of the row-major matrix `w` with `units` rows.
+#[inline(always)]
+fn unit_row(w: &[f32], units: usize, u: usize) -> &[f32] {
+    let width = w.len() / units;
+    &w[u * width..(u + 1) * width]
 }
 
 /// Elementwise `y[i] += x[i]`. One rounding per element, so every tier
@@ -286,10 +345,20 @@ pub mod scalar {
         z
     }
 
-    /// See [`super::dot_rows_f32`]. Each row's sequential loop.
+    /// See [`super::dense_forward_f32`]. Each product's sequential loop.
     #[inline]
-    pub fn dot_rows_f32<const R: usize>(init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
-        x.map(|x| dot_f32(init, w, x))
+    pub fn dense_forward_f32<const R: usize>(
+        w: &[f32],
+        bias: &[f32],
+        x: [&[f32]; R],
+        mut out: [&mut [f32]; R],
+    ) {
+        for (u, &b) in bias.iter().enumerate() {
+            let w_u = super::unit_row(w, bias.len(), u);
+            for (out, x) in out.iter_mut().zip(x) {
+                out[u] = dot_f32(b, w_u, x);
+            }
+        }
     }
 
     /// See [`super::dot_i8`].
@@ -356,18 +425,35 @@ pub mod scalar {
         }
     }
 
-    /// See [`super::axpy_rows_f32`].
+    /// See [`super::dense_backward_f32`]. Two [`axpy_f32`] calls per live
+    /// row.
     #[inline]
-    pub fn axpy_rows_f32<const R: usize>(
+    pub fn dense_backward_f32<const R: usize>(
+        delta: [&[f32]; R],
+        x: [&[f32]; R],
+        w: &[f32],
+        g: &mut [f32],
+        d: [&mut [f32]; R],
+    ) {
+        super::backward_units(delta, x, w, g, d, axpy_rows, axpy_row);
+    }
+
+    /// One live row of a unit: `g += a·x`, then `d += a·w`.
+    fn axpy_row(a: f32, x: &[f32], w: &[f32], g: &mut [f32], d: &mut [f32]) {
+        axpy_f32(a, x, g);
+        axpy_f32(a, w, d);
+    }
+
+    /// Every row of a unit live in all of them, in row order.
+    fn axpy_rows<const R: usize>(
         a: [f32; R],
         x: [&[f32]; R],
         w: &[f32],
         g: &mut [f32],
         d: [&mut [f32]; R],
     ) {
-        for r in 0..R {
-            axpy_f32(a[r], x[r], g);
-            axpy_f32(a[r], w, d[r]);
+        for ((a, x), d) in a.into_iter().zip(x).zip(d) {
+            axpy_row(a, x, w, g, d);
         }
     }
 
@@ -516,18 +602,34 @@ pub mod x86 {
         x.iter().fold(w.len(), |n, x| n.min(x.len()))
     }
 
-    /// AVX2 [`super::dot_rows_f32`]: per row, the same 4 × 8-lane
+    /// AVX2 [`super::dense_forward_f32`], one unit at a time.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dense_forward_f32_avx2<const R: usize>(
+        w: &[f32],
+        bias: &[f32],
+        x: [&[f32]; R],
+        mut out: [&mut [f32]; R],
+    ) {
+        for (u, &b) in bias.iter().enumerate() {
+            let z = dot_rows_avx2(b, super::unit_row(w, bias.len(), u), x);
+            for (out, z) in out.iter_mut().zip(z) {
+                out[u] = z;
+            }
+        }
+    }
+
+    /// One unit of [`dense_forward_f32_avx2`]: per row, the same 4 × 8-lane
     /// accumulators, reduction and scalar tail as [`dot_f32_avx2`]; each
     /// 8-lane load of `w` is multiplied into all `R` rows.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports AVX2.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_rows_f32_avx2<const R: usize>(
-        init: f32,
-        w: &[f32],
-        x: [&[f32]; R],
-    ) -> [f32; R] {
+    unsafe fn dot_rows_avx2<const R: usize>(init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
         let n = common_len(w, &x);
         let (pw, px) = (w.as_ptr(), x.map(<[f32]>::as_ptr));
         let mut acc = [[_mm256_setzero_ps(); 4]; R];
@@ -560,17 +662,33 @@ pub mod x86 {
         out
     }
 
-    /// SSE2 [`super::dot_rows_f32`]: per row, [`dot_f32_sse2`]'s 2 × 4-lane
-    /// accumulators, reduction and tail.
+    /// SSE2 [`super::dense_forward_f32`], one unit at a time.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
     #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_rows_f32_sse2<const R: usize>(
-        init: f32,
+    pub unsafe fn dense_forward_f32_sse2<const R: usize>(
         w: &[f32],
+        bias: &[f32],
         x: [&[f32]; R],
-    ) -> [f32; R] {
+        mut out: [&mut [f32]; R],
+    ) {
+        for (u, &b) in bias.iter().enumerate() {
+            let z = dot_rows_sse2(b, super::unit_row(w, bias.len(), u), x);
+            for (out, z) in out.iter_mut().zip(z) {
+                out[u] = z;
+            }
+        }
+    }
+
+    /// One unit of [`dense_forward_f32_sse2`]: per row, [`dot_f32_sse2`]'s
+    /// 2 × 4-lane accumulators, reduction and tail.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn dot_rows_sse2<const R: usize>(init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
         let n = common_len(w, &x);
         let (pw, px) = (w.as_ptr(), x.map(<[f32]>::as_ptr));
         let mut acc = [[_mm_setzero_ps(); 2]; R];
@@ -942,13 +1060,38 @@ pub mod x86 {
         }
     }
 
-    /// AVX2 [`super::axpy_rows_f32`]: per 8 lanes, one load of `w` and of
-    /// `g`, then each row's two `vmulps` + `vaddps` in row order.
+    /// AVX2 [`super::dense_backward_f32`].
     ///
     /// # Safety
     /// Caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_rows_f32_avx2<const R: usize>(
+    pub unsafe fn dense_backward_f32_avx2<const R: usize>(
+        delta: [&[f32]; R],
+        x: [&[f32]; R],
+        w: &[f32],
+        g: &mut [f32],
+        d: [&mut [f32]; R],
+    ) {
+        // Safety (both closures): AVX2 is the caller's guarantee.
+        super::backward_units(
+            delta,
+            x,
+            w,
+            g,
+            d,
+            |a, x, w, g, d| unsafe { axpy_rows_avx2(a, x, w, g, d) },
+            |a, x, w, g, d| unsafe { axpy_rows_avx2([a], [x], w, g, [d]) },
+        );
+    }
+
+    /// One unit of [`dense_backward_f32_avx2`]: per 8 lanes, one load of
+    /// `w` and of `g`, then each row's two `vmulps` + `vaddps` in row order.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn axpy_rows_avx2<const R: usize>(
         a: [f32; R],
         x: [&[f32]; R],
         w: &[f32],
@@ -985,12 +1128,37 @@ pub mod x86 {
         }
     }
 
-    /// SSE2 [`super::axpy_rows_f32`]: 4 lanes a step.
+    /// SSE2 [`super::dense_backward_f32`].
     ///
     /// # Safety
     /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
     #[target_feature(enable = "sse2")]
-    pub unsafe fn axpy_rows_f32_sse2<const R: usize>(
+    pub unsafe fn dense_backward_f32_sse2<const R: usize>(
+        delta: [&[f32]; R],
+        x: [&[f32]; R],
+        w: &[f32],
+        g: &mut [f32],
+        d: [&mut [f32]; R],
+    ) {
+        // Safety (both closures): SSE2 is the x86-64 baseline.
+        super::backward_units(
+            delta,
+            x,
+            w,
+            g,
+            d,
+            |a, x, w, g, d| unsafe { axpy_rows_sse2(a, x, w, g, d) },
+            |a, x, w, g, d| unsafe { axpy_rows_sse2([a], [x], w, g, [d]) },
+        );
+    }
+
+    /// One unit of [`dense_backward_f32_sse2`], 4 lanes a step.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn axpy_rows_sse2<const R: usize>(
         a: [f32; R],
         x: [&[f32]; R],
         w: &[f32],
@@ -1363,14 +1531,20 @@ mod tests {
         }
     }
 
-    fn dot_rows_in<const R: usize>(t: Tier, init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
+    fn dense_forward_in<const R: usize>(
+        t: Tier,
+        w: &[f32],
+        bias: &[f32],
+        x: [&[f32]; R],
+        out: [&mut [f32]; R],
+    ) {
         match t {
-            Tier::Dispatched => dot_rows_f32(init, w, x),
-            Tier::Scalar => scalar::dot_rows_f32(init, w, x),
+            Tier::Dispatched => dense_forward_f32(w, bias, x, out),
+            Tier::Scalar => scalar::dense_forward_f32(w, bias, x, out),
             #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => unsafe { x86::dot_rows_f32_sse2(init, w, x) },
+            Tier::Sse2 => unsafe { x86::dense_forward_f32_sse2(w, bias, x, out) },
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { x86::dot_rows_f32_avx2(init, w, x) },
+            Tier::Avx2 => unsafe { x86::dense_forward_f32_avx2(w, bias, x, out) },
         }
     }
 
@@ -1385,21 +1559,21 @@ mod tests {
         }
     }
 
-    fn axpy_rows_in<const R: usize>(
+    fn dense_backward_in<const R: usize>(
         t: Tier,
-        a: [f32; R],
+        delta: [&[f32]; R],
         x: [&[f32]; R],
         w: &[f32],
         g: &mut [f32],
         d: [&mut [f32]; R],
     ) {
         match t {
-            Tier::Dispatched => axpy_rows_f32(a, x, w, g, d),
-            Tier::Scalar => scalar::axpy_rows_f32(a, x, w, g, d),
+            Tier::Dispatched => dense_backward_f32(delta, x, w, g, d),
+            Tier::Scalar => scalar::dense_backward_f32(delta, x, w, g, d),
             #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => unsafe { x86::axpy_rows_f32_sse2(a, x, w, g, d) },
+            Tier::Sse2 => unsafe { x86::dense_backward_f32_sse2(delta, x, w, g, d) },
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { x86::axpy_rows_f32_avx2(a, x, w, g, d) },
+            Tier::Avx2 => unsafe { x86::dense_backward_f32_avx2(delta, x, w, g, d) },
         }
     }
 
@@ -1413,60 +1587,81 @@ mod tests {
         values
     }
 
-    /// Checks the `R`-row kernels of tier `t` against `R` single-row calls
-    /// of the same tier, bit for bit, on length-`n` operands.
-    fn check_rows<const R: usize>(t: Tier, n: usize) {
+    /// Mutable views of `rows`, as an array.
+    fn rows_mut<const R: usize>(rows: &mut [Vec<f32>]) -> [&mut [f32]; R] {
+        let mut rows = rows.iter_mut();
+        std::array::from_fn(|_| &mut rows.next().expect("R rows")[..])
+    }
+
+    /// Checks tier `t`'s dense-layer kernels over `R` rows of width `n`
+    /// against per-unit, per-row [`dot_f32`]/[`axpy_f32`] calls of the same
+    /// tier, bit for bit.
+    fn check_dense<const R: usize>(t: Tier, n: usize) {
         let seed = 1000 * R as u64 + n as u64;
         let inputs: [fn(usize, u64) -> Vec<f32>; 3] =
             [f32s, edge_f32s, |n, seed| finite(edge_f32s(n, seed))];
+        // Deltas cycle through zeros of both signs, NaN, a subnormal and
+        // ordinary values, so units are live in every row, some rows or
+        // none.
+        let scales = [1.5f32, -0.0, 0.0, f32::NAN, f32::from_bits(3), 1e30, -2.25];
+        let units = scales.len();
         for make in inputs {
-            let w = make(n, seed);
+            let w = make(units * n, seed);
             let xs: Vec<Vec<f32>> = (0..R).map(|r| make(n, seed + 7 * r as u64 + 1)).collect();
             let x: [&[f32]; R] = std::array::from_fn(|r| &xs[r][..]);
-            for init in [0.75f32, -0.0, f32::from_bits(5)] {
-                let got = dot_rows_in(t, init, &w, x);
-                for r in 0..R {
-                    let want = dot_in(t, init, &w, x[r]);
-                    assert_eq!(
-                        bits(&[got[r]]),
-                        bits(&[want]),
-                        "{t:?} dot R={R} r={r} n={n}"
-                    );
+
+            let bias = make(units, seed + 50);
+            let mut out = vec![vec![0f32; units]; R];
+            dense_forward_in(t, &w, &bias, x, rows_mut(&mut out));
+            for (r, out) in out.iter().enumerate() {
+                for u in 0..units {
+                    let want = dot_in(t, bias[u], &w[u * n..(u + 1) * n], x[r]);
+                    assert_eq!(bits(&[out[u]]), bits(&[want]), "{t:?} forward R={R} n={n}");
                 }
             }
 
-            let scales = [1.5f32, -0.0, 0.0, f32::NAN, f32::from_bits(3), 1e30, -2.25];
-            for k in 0..scales.len() {
-                let a: [f32; R] = std::array::from_fn(|r| scales[(k + r) % scales.len()]);
-                let g0 = make(n, seed + 100);
-                let d0: Vec<Vec<f32>> = (0..R).map(|r| make(n, seed + 200 + r as u64)).collect();
-                let (mut g, mut d) = (g0.clone(), d0.clone());
-                let mut d_rows = d.iter_mut();
-                let d_rows = std::array::from_fn(|_| &mut d_rows.next().unwrap()[..]);
-                axpy_rows_in(t, a, x, &w, &mut g, d_rows);
-                let (mut want_g, mut want_d) = (g0, d0);
+            let deltas: Vec<Vec<f32>> = (0..R)
+                .map(|r| {
+                    (0..units)
+                        .map(|u| scales[(u * (r + 1) + r) % units])
+                        .collect()
+                })
+                .collect();
+            let delta: [&[f32]; R] = std::array::from_fn(|r| &deltas[r][..]);
+            let g0 = make(units * n, seed + 100);
+            let d0: Vec<Vec<f32>> = (0..R).map(|r| make(n, seed + 200 + r as u64)).collect();
+            let (mut g, mut d) = (g0.clone(), d0.clone());
+            dense_backward_in(t, delta, x, &w, &mut g, rows_mut(&mut d));
+            let (mut want_g, mut want_d) = (g0, d0);
+            for u in 0..units {
                 for r in 0..R {
-                    axpy_in(t, a[r], x[r], &mut want_g);
-                    axpy_in(t, a[r], &w, &mut want_d[r]);
+                    let a = delta[r][u];
+                    if a != 0.0 {
+                        axpy_in(t, a, x[r], &mut want_g[u * n..(u + 1) * n]);
+                        axpy_in(t, a, &w[u * n..(u + 1) * n], &mut want_d[r]);
+                    }
                 }
-                let ctx = format!("{t:?} axpy_rows R={R} n={n} a={a:?}");
-                assert_eq!(bits(&g), bits(&want_g), "{ctx} g");
-                for r in 0..R {
-                    assert_eq!(bits(&d[r]), bits(&want_d[r]), "{ctx} d[{r}]");
-                }
+            }
+            assert_eq!(bits(&g), bits(&want_g), "{t:?} backward g R={R} n={n}");
+            for r in 0..R {
+                assert_eq!(
+                    bits(&d[r]),
+                    bits(&want_d[r]),
+                    "{t:?} backward d[{r}] R={R} n={n}"
+                );
             }
         }
     }
 
     #[test]
-    fn row_kernels_match_single_row_kernels_bitwise_in_every_tier() {
+    fn dense_kernels_match_per_row_kernels_bitwise_in_every_tier() {
         let mut lens: Vec<usize> = (0..=17).collect();
         lens.extend([31, 32, 33, 64, 256]);
         for t in tiers() {
             for &n in &lens {
-                check_rows::<1>(t, n);
-                check_rows::<2>(t, n);
-                check_rows::<3>(t, n);
+                check_dense::<1>(t, n);
+                check_dense::<2>(t, n);
+                check_dense::<3>(t, n);
             }
         }
     }
