@@ -216,26 +216,27 @@ impl Mlp {
     fn sgd_epochs(&mut self, ds: &CatDataset, params: &AnnParams, rng: &mut rand::rngs::StdRng) {
         let net = self;
         let n = ds.n_rows();
+        let (h1, h2) = (net.h1, net.h2);
         let mut opt_w1 = Adam::new(net.w1.len(), params.lr);
-        let mut opt_b1 = Adam::new(net.h1, params.lr);
+        let mut opt_b1 = Adam::new(h1, params.lr);
         let mut opt_w2 = Adam::new(net.w2.len(), params.lr);
-        let mut opt_b2 = Adam::new(net.h2, params.lr);
-        let mut opt_w3 = Adam::new(net.h2, params.lr);
+        let mut opt_b2 = Adam::new(h2, params.lr);
+        let mut opt_w3 = Adam::new(h2, params.lr);
         let mut opt_b3 = Adam::new(1, params.lr);
         let mut g = Grads {
             w1: vec![0.0; net.w1.len()],
-            b1: vec![0.0; net.h1],
+            b1: vec![0.0; h1],
             w2: vec![0.0; net.w2.len()],
-            b2: vec![0.0; net.h2],
-            w3: vec![0.0; net.h2],
+            b2: vec![0.0; h2],
+            w3: vec![0.0; h2],
             b3: [0.0],
         };
 
         // Per-block work buffers: slot r of each holds the block's row r.
         let mut s = net.scratch();
         s.active.resize(BLOCK * ds.n_features(), 0);
-        let mut d1 = vec![0.0f32; BLOCK * net.h1];
-        let mut d2 = vec![0.0f32; BLOCK * net.h2];
+        let mut d1 = vec![0.0f32; BLOCK * h1];
+        let mut d2 = vec![0.0f32; BLOCK * h2];
 
         let mut order: Vec<usize> = (0..n).collect();
         for _epoch in 0..params.epochs {
@@ -423,17 +424,11 @@ impl Mlp {
     }
 
     /// Output logits of the row-major `rows` (`d > 0` codes each), passed
-    /// to `emit` in row order. Rows run two at a time through the
-    /// dense layers, a trailing partial block row by row; every logit is
-    /// bit-for-bit [`Mlp::logit`] of its row. The scratch must come from
-    /// [`Mlp::scratch`] on a same-shaped network.
-    pub fn logits_scratch(
-        &self,
-        rows: &[u32],
-        d: usize,
-        s: &mut MlpScratch,
-        mut emit: impl FnMut(f32),
-    ) {
+    /// to `emit` in row order, with one scratch for the whole batch. Rows
+    /// run two at a time through the dense layers, a trailing odd row
+    /// alone; every logit is bit-for-bit [`Mlp::logit`] of its row.
+    pub fn logits(&self, rows: &[u32], d: usize, mut emit: impl FnMut(f32)) {
+        let s = &mut self.scratch();
         let mut blocks = rows.chunks_exact(BLOCK * d);
         for block in &mut blocks {
             s.active.resize(block.len(), 0);
@@ -461,8 +456,7 @@ impl Mlp {
     }
 }
 
-/// Work buffers for [`Mlp::logit_scratch`] and [`Mlp::logits_scratch`];
-/// create via [`Mlp::scratch`].
+/// Work buffers for [`Mlp::logit_scratch`]; create via [`Mlp::scratch`].
 #[derive(Debug, Clone)]
 pub struct MlpScratch {
     active: Vec<usize>,
@@ -806,9 +800,7 @@ mod tests {
         for n in [0, 1, 2, 3, 23] {
             let rows: Vec<u32> = (0..n).flat_map(|i| ds.row(i).to_vec()).collect();
             let mut got = Vec::new();
-            m.logits_scratch(&rows, ds.n_features(), &mut m.scratch(), |z| {
-                got.push(z.to_bits())
-            });
+            m.logits(&rows, ds.n_features(), |z| got.push(z.to_bits()));
             let want: Vec<u32> = (0..n).map(|i| m.logit(ds.row(i)).to_bits()).collect();
             assert_eq!(got, want, "n={n}");
         }

@@ -164,9 +164,7 @@ impl AnyClassifier {
     /// calling `predict_row` per row in every case.
     fn predict_chunk(&self, rows: &[u32], d: usize, out: &mut Vec<bool>) {
         match self {
-            AnyClassifier::Mlp(m) => {
-                m.logits_scratch(rows, d, &mut m.scratch(), |z| out.push(z >= 0.0))
-            }
+            AnyClassifier::Mlp(m) => m.logits(rows, d, |z| out.push(z >= 0.0)),
             AnyClassifier::Quantized(q) => {
                 let mut s = q.scratch();
                 for row in rows.chunks_exact(d) {
@@ -442,9 +440,7 @@ impl AnyClassifier {
     /// row.
     fn score_chunk(&self, rows: &[u32], d: usize, out: &mut Vec<f64>) {
         match self {
-            AnyClassifier::Mlp(m) => {
-                m.logits_scratch(rows, d, &mut m.scratch(), |z| out.push(f64::from(z)))
-            }
+            AnyClassifier::Mlp(m) => m.logits(rows, d, |z| out.push(f64::from(z))),
             AnyClassifier::Quantized(q) => {
                 let mut s = q.scratch();
                 for row in rows.chunks_exact(d) {
