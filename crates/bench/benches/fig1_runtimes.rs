@@ -42,7 +42,7 @@ fn fig1_runtimes(c: &mut Criterion) {
     // The paper's Figure 1 panels span tree, 1-NN, RBF-SVM, ANN, NB-BFS and
     // LogReg; the tree, NB and LogReg panels capture the three runtime
     // regimes (cheap model / feature-selection-bound / path-solver-bound)
-    // without hour-long bench runs. Use the fig1 binary for the full table.
+    // without hour-long bench runs. Run `reproduce fig1` for the full table.
     bench_model(c, ModelSpec::TreeGini, &budget);
     bench_model(c, ModelSpec::NaiveBayesBfs, &budget);
     bench_model(c, ModelSpec::LogRegL1, &budget);

@@ -135,7 +135,7 @@ pub struct Budget {
     /// Categorical partition style for trees. `SubsetPartition` (Breiman's
     /// optimal subset cuts — rpart's mechanics) is the default everywhere;
     /// `OneVsRest` emulates a tree over one-hot-encoded inputs and is kept
-    /// as an ablation (see EXPERIMENTS.md on Table 4).
+    /// as an ablation (see `REPRODUCTION.md`, "Table 4: split styles").
     pub tree_categorical: CategoricalSplit,
     /// Seed for subsampling.
     pub seed: u64,

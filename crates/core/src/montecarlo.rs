@@ -6,7 +6,7 @@
 //! datasets, tune + fit the model on each, evaluate every fitted model on
 //! one *shared* test sample, and decompose the error per Domingos
 //! ([`crate::bias_variance`]). The paper uses 100 runs; the harness takes
-//! the count as a parameter (benches honour `HAMLET_RUNS`).
+//! the count as a parameter (`reproduce` honours `HAMLET_RUNS`).
 
 use hamlet_datagen::sim::GeneratedStar;
 use hamlet_ml::error::Result;
@@ -25,6 +25,10 @@ pub struct MonteCarloPoint {
     pub model: String,
     /// The Domingos decomposition across runs.
     pub result: BiasVariance,
+    /// Each run's 0/1 error on the shared evaluation set, in run order.
+    /// Configs run with the same `base_seed` share both the training draws
+    /// and the evaluation set, so these pair up run by run across configs.
+    pub run_errors: Vec<f64>,
 }
 
 /// Runs the Monte-Carlo protocol for one (model, config) pair.
@@ -61,11 +65,17 @@ where
         let tuned = spec.fit_tuned(&data.train, &data.val, budget)?;
         predictions.push(tuned.model.predict(&eval_test));
     }
-    let result = decompose(&predictions, eval_test.labels(), optimal.as_deref())?;
+    let labels = eval_test.labels();
+    let result = decompose(&predictions, labels, optimal.as_deref())?;
+    let run_errors = predictions
+        .iter()
+        .map(|p| p.iter().zip(labels).filter(|(a, b)| a != b).count() as f64 / labels.len() as f64)
+        .collect();
     Ok(MonteCarloPoint {
         config: config.name(),
         model: spec.name().to_string(),
         result,
+        run_errors,
     })
 }
 
@@ -174,6 +184,10 @@ mod tests {
             (r.avg_error - (r.bias + r.net_variance)).abs() < 1e-9,
             "identity violated: {r:?}"
         );
+        // The per-run errors average to the decomposition's error.
+        assert_eq!(point.run_errors.len(), 6);
+        let mean = point.run_errors.iter().sum::<f64>() / 6.0;
+        assert!((mean - r.avg_error).abs() < 1e-12, "{mean} vs {r:?}");
     }
 
     #[test]

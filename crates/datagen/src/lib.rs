@@ -11,8 +11,8 @@
 //! - [`reponexr`] — Scenario `RepOneXr` (§4.3): the driving feature
 //!   replicated across all foreign features.
 //! - [`emulate`] — synthetic stand-ins for the seven real datasets of
-//!   Table 1, preserving schema shape and every tuple ratio (see DESIGN.md
-//!   for the substitution argument).
+//!   Table 1, preserving schema shape and every tuple ratio (see
+//!   `REPRODUCTION.md`, "Emulated datasets", for the substitution argument).
 //!
 //! All generators return a [`sim::GeneratedStar`]: a validated
 //! [`hamlet_relation::star::StarSchema`] plus the paper's train/validation/

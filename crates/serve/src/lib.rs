@@ -3,8 +3,8 @@
 //! The serving layer of the hamlet reproduction: turn trained classifiers
 //! into *servable artifacts* and answer prediction/advisor traffic over
 //! HTTP — the paper's operational decision ("skip the join before sourcing
-//! the table") available at request time instead of only inside offline
-//! experiment binaries.
+//! the table") available at request time instead of only inside the
+//! offline reproduction.
 //!
 //! - [`artifact`] — versioned save/load of [`ModelArtifact`]s: an
 //!   [`hamlet_ml::any::AnyClassifier`] plus its
