@@ -384,14 +384,14 @@ fn fig3_claims(t: &[Table]) -> Vec<Claim> {
     ];
     vec![
         claim(t, q[0], Within, [NJ, JA], span(1, 0.0, 100.0)),
-        claim(t, q[1], Above, [NJ, JA], span(1, 333.0, 1e9)),
-        claim(t, q[2], Above, [NJ, JA], span(0, 10.0, 1e9)),
+        claim(t, q[1], Above, [NJ, JA], span(1, 333.0, f64::INFINITY)),
+        claim(t, q[2], Above, [NJ, JA], span(0, 10.0, f64::INFINITY)),
     ]
 }
 
 fn fig4_claims(t: &[Table]) -> Vec<Claim> {
     let q = "rbf-net-variance-rises-from-nr-333: the RBF-SVM's error deviation is mirrored by rising net variance (ε of the errors)";
-    vec![claim(t, q, Above, [NJ, JA], span(1, 333.0, 1e9))]
+    vec![claim(t, q, Above, [NJ, JA], span(1, 333.0, f64::INFINITY))]
 }
 
 fn fig5_claims(t: &[Table]) -> Vec<Claim> {
