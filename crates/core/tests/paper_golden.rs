@@ -31,8 +31,8 @@ const AVX2: [u64; 8] = [
     0x54a9eea3f7eaef9b,
     0xbbc42d94d0894ef4,
     0xd5ce08e5551b7da6,
-    0xa50d956b8b621173,
-    0xcfbb1a164aaade71,
+    0xa8df3e1520783ef4,
+    0xcd4892b6f406a2e9,
     0x83ac56fb37623b1a,
     0xbc8dd1e25049d2ff,
 ];
@@ -41,8 +41,8 @@ const SCALAR: [u64; 8] = [
     0x54a9eea3f7eaef9b,
     0xbbc42d94d0894ef4,
     0xd5ce08e5551b7da6,
-    0x57178a7bd01d76a4,
-    0xafe502023f2947fe,
+    0x4eacf7afdb658e09,
+    0x247e571c38352c20,
     0x25648ffec94848ed,
     0xbc8dd1e25049d2ff,
 ];

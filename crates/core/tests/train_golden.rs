@@ -4,10 +4,12 @@
 //! Each case hashes (FNV-1a, 64-bit) the `f64` bits of every test row's
 //! decision value. A change to a training loop that alters one bit of one
 //! weight changes a hash, so a speed-up of the solvers has to keep the
-//! arithmetic order it replaces. The ANN's dense products (`dot_f32`) and
-//! the logreg gather-sum re-associate on the SIMD tiers, so the expected
-//! hashes are recorded per [`Backend`]; CI runs the suite on the AVX2 host
-//! tier and again under `HAMLET_FORCE_SCALAR=1`.
+//! arithmetic order it replaces. A deliberate numeric trade (the ANN's f32
+//! Adam) re-pins only the hashes it moves and is checked instead against
+//! the reproduction ledger's claims (`reproduce table3`). The ANN's dense
+//! products (`dot_f32`) and the logreg gather-sum re-associate on the SIMD
+//! tiers, so the expected hashes are recorded per [`Backend`]; CI runs the
+//! suite on the AVX2 host tier and again under `HAMLET_FORCE_SCALAR=1`.
 
 use hamlet_core::feature_config::{build_splits, FeatureConfig};
 use hamlet_core::model_zoo::{Budget, ModelSpec};
@@ -27,8 +29,8 @@ const AVX2: [u64; 8] = [
     0x700fc27b26bcfac5,
     0x5806c9576bb1bc87,
     0x278609e16a1909d0,
-    0xc5eb0fb33feed144,
-    0x6269699c3eb43207,
+    0x47eb049656fc5a12,
+    0x92a1cda7b8887032,
     0xd3e81afd286a6f42,
     0xbd98c6fba363e506,
 ];
@@ -37,8 +39,8 @@ const SCALAR: [u64; 8] = [
     0x700fc27b26bcfac5,
     0x5806c9576bb1bc87,
     0x278609e16a1909d0,
-    0x16eda5b662f8809e,
-    0x28793e2b4f6a14aa,
+    0x4ec9a6e268c73b03,
+    0x87bc8cc944bc65a6,
     0xf06cf72e4348b9d8,
     0xbd98c6fba363e506,
 ];
