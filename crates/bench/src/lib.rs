@@ -6,7 +6,7 @@
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
-//! | `HAMLET_SCALE` | target `n_S` for the Table-1 dataset emulators | 8000 |
+//! | `HAMLET_SCALE` | target `n_S` for the Table-1 dataset emulators (≥ 64, their floor) | 8000 |
 //! | `HAMLET_RUNS` | Monte-Carlo runs per simulation point (≥ 2) | 20 (paper: 100) |
 //! | `HAMLET_FULL` | `1`/`true` → paper-fidelity grids & big ANN everywhere | off |
 
@@ -53,7 +53,8 @@ impl Settings {
             }
         };
         Ok(Self {
-            scale: count("HAMLET_SCALE", 8000, 1)?,
+            // The emulators raise a smaller n_S to this floor.
+            scale: count("HAMLET_SCALE", 8000, hamlet_datagen::emulate::MIN_N_S)?,
             // A sweep's ε is a standard error over runs, which needs two.
             runs: count("HAMLET_RUNS", 20, 2)?,
             full,
@@ -260,6 +261,7 @@ mod tests {
             ("HAMLET_FULL", "TRUE"),
         ]);
         assert_eq!(s.map(|s| (s.scale, s.runs, s.full)), Ok((1000, 2, true)));
+        assert_eq!(parse(&[("HAMLET_SCALE", "64")]).map(|s| s.scale), Ok(64));
         assert_eq!(parse(&[("HAMLET_FULL", "0")]).map(|s| s.full), Ok(false));
         assert_eq!(
             defaults.to_string(),
@@ -272,6 +274,7 @@ mod tests {
         for (var, value) in [
             ("HAMLET_SCALE", "abc"),
             ("HAMLET_SCALE", "0"),
+            ("HAMLET_SCALE", "63"),
             ("HAMLET_RUNS", "abc"),
             ("HAMLET_RUNS", "1"),
             ("HAMLET_RUNS", "-3"),
@@ -281,6 +284,8 @@ mod tests {
             let e = parse(&[(var, value)]).unwrap_err();
             assert!(e.starts_with(var), "{e}");
         }
+        let e = parse(&[("HAMLET_SCALE", "1")]).unwrap_err();
+        assert_eq!(e, "HAMLET_SCALE must be an integer ≥ 64, got \"1\"");
     }
 
     #[test]

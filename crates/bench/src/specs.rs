@@ -3,8 +3,11 @@
 //! lists of panels for one sweep runner; the emulator tables share one grid
 //! runner. A claim's text is its name, a colon, then the paper's wording.
 
+use std::sync::Mutex;
+
 use hamlet_core::montecarlo::{onexr_bayes, run_monte_carlo, xsxr_bayes, MonteCarloPoint};
 use hamlet_core::prelude::*;
+use hamlet_datagen::emulate::MIN_N_R;
 use hamlet_datagen::prelude::*;
 use hamlet_datagen::sim::GeneratedStar;
 use hamlet_ml::dataset::Provenance;
@@ -185,7 +188,7 @@ fn cell<'a>(t: &'a Table, label: &str, column: &str) -> &'a Cell {
 
 /// A simulation scenario (§4): OneXr's lone driving foreign feature, the
 /// noise-free XSXR, or RepOneXr's driving feature replicated across `X_R`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Scenario {
     OneXr,
     XsXr,
@@ -193,7 +196,7 @@ enum Scenario {
 }
 
 /// A swept parameter, with anything its panel pins.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Field {
     NS,
     NR,
@@ -335,16 +338,7 @@ fn sweep(
         let title = format!("({}) {by}vary {what}", char::from(b'A' + i as u8));
         let mut t = Table::new(title, &[label, JA, NJ, NOFK]);
         for &x in xs {
-            let bayes = |gs: &GeneratedStar| match panel.0 {
-                XsXr => xsxr_bayes(gs),
-                OneXr | Replicated => onexr_bayes(gs, panel.1.params(x, 0).p),
-            };
-            let (seed, budget) = (0xC0FFEE ^ (x * 1024.0) as u64, s.sim_budget());
-            let gen = |k| generate(panel, x, k);
-            let run = |c| {
-                run_monte_carlo(gen, bayes, s.runs, model, c, &budget, seed).expect("point runs")
-            };
-            let points: Vec<MonteCarloPoint> = three_configs().iter().map(run).collect();
+            let points = points(s, panel, model, x);
             eprintln!("{} {}={x}", t.title, label);
             let cell = |p: &MonteCarloPoint| {
                 Cell::num(metric(&p.result), Spread::Runs(p.run_errors.clone()))
@@ -360,6 +354,32 @@ fn sweep(
         tables,
         json: json.serialize(),
     }
+}
+
+/// A sweep row: its panel, model, `x` (as bits) and the settings.
+type Row = (Panel, ModelSpec, u64, Settings);
+
+/// Every sweep row this process has run. Figure 4 prints the net variance
+/// of Figure 3's points, so a run of both computes them once.
+static ROWS: Mutex<Vec<(Row, Vec<MonteCarloPoint>)>> = Mutex::new(Vec::new());
+
+/// The JoinAll / NoJoin / NoFK points of one sweep row, run on first use.
+fn points(s: &Settings, panel: Panel, model: ModelSpec, x: f64) -> Vec<MonteCarloPoint> {
+    let row = (panel, model, x.to_bits(), *s);
+    let rows = || ROWS.lock().unwrap();
+    if let Some((_, points)) = rows().iter().find(|(r, _)| *r == row) {
+        return points.clone();
+    }
+    let bayes = |gs: &GeneratedStar| match panel.0 {
+        XsXr => xsxr_bayes(gs),
+        OneXr | Replicated => onexr_bayes(gs, panel.1.params(x, 0).p),
+    };
+    let (seed, budget) = (0xC0FFEE ^ (x * 1024.0) as u64, s.sim_budget());
+    let gen = |k| generate(panel, x, k);
+    let run = |c| run_monte_carlo(gen, bayes, s.runs, model, c, &budget, seed).expect("point runs");
+    let points: Vec<MonteCarloPoint> = three_configs().iter().map(run).collect();
+    rows().push((row, points.clone()));
+    points
 }
 
 fn fig2_claims(t: &[Table]) -> Vec<Claim> {
@@ -654,17 +674,23 @@ fn fig1(s: &Settings) -> Outcome {
 // ---------------------------------------------------------------------------
 // Specs with their own runners
 
+/// Table 1's title: the emulated `n_S`, and each dimension whose `n_R` the
+/// emulator raised to its floor, whose tuple ratio is then not the paper's.
+fn table1_title(scale: usize, floored: &[String]) -> String {
+    let mut title = format!("emulated at n_S ≈ {scale}; tuple ratios on the training split");
+    if !floored.is_empty() {
+        let dims = floored.join(", ");
+        title += &format!("; n_R raised to its floor of {MIN_N_R} for {dims}");
+    }
+    title
+}
+
 fn table1(s: &Settings) -> Outcome {
-    let title = format!(
-        "emulated at n_S ≈ {}; tuple ratios on the training split",
-        s.scale
-    );
-    let mut t = Table::new(
-        title,
-        &["Dataset", "(nS, dS)", "q", "(nR, dR)", "Tuple Ratio"],
-    );
-    let mut stats = Vec::new();
+    let mut t = Table::new("", &["Dataset", "(nS, dS)", "q", "(nR, dR)", "Tuple Ratio"]);
+    let (mut stats, mut floored) = (Vec::new(), Vec::new());
     for spec in EmulatorSpec::all() {
+        let raised = spec.floored_dims(s.scale).into_iter();
+        floored.extend(raised.map(|d| format!("{} {d}", spec.name)));
         let g = spec.generate_scaled(s.scale, 0xDA7A);
         let dims = g.star.stats(g.n_train);
         let head = [
@@ -685,6 +711,7 @@ fn table1(s: &Settings) -> Outcome {
         }
         stats.push((spec.name, dims));
     }
+    t.title = table1_title(s.scale, &floored);
     let r2 = |name: &str| &stats.iter().find(|(n, _)| *n == name).expect("emulated").1[1];
     let [yelp, books, walmart] = ["Yelp", "Books", "Walmart"].map(|d| r2(d).tuple_ratio);
     let open = r2("Expedia").open_domain;
@@ -939,5 +966,39 @@ fn fig11(s: &Settings) -> Outcome {
         ],
         json: tables.serialize(),
         tables,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table1_title_names_the_floored_dimensions() {
+        let plain = "emulated at n_S ≈ 8000; tuple ratios on the training split";
+        assert_eq!(table1_title(8000, &[]), plain);
+        let floored = ["Walmart stores".to_string()];
+        assert_eq!(
+            table1_title(8000, &floored),
+            format!("{plain}; n_R raised to its floor of 2 for Walmart stores")
+        );
+    }
+
+    #[test]
+    fn a_sweep_row_runs_once_per_process() {
+        let s = Settings {
+            scale: 1000,
+            runs: 2,
+            full: false,
+        };
+        let first = points(&s, (OneXr, NR), OneNN, 1.0);
+        let count = || ROWS.lock().unwrap().len();
+        let before = count();
+        let again = points(&s, (OneXr, NR), OneNN, 1.0);
+        assert_eq!(count(), before, "the second call reuses the row");
+        let errors = |p: &[MonteCarloPoint]| -> Vec<Vec<f64>> {
+            p.iter().map(|p| p.run_errors.clone()).collect()
+        };
+        assert_eq!(errors(&first), errors(&again));
     }
 }

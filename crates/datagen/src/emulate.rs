@@ -71,6 +71,12 @@ pub struct EmulatorSpec {
 /// not override the target (the 50 % train split then has 6 000 rows).
 pub const DEFAULT_TARGET_N_S: usize = 12_000;
 
+/// The fewest fact rows [`EmulatorSpec::generate_scaled`] generates.
+pub const MIN_N_S: usize = 64;
+
+/// The fewest rows [`EmulatorSpec::generate_scaled`] gives a dimension.
+pub const MIN_N_R: usize = 2;
+
 impl EmulatorSpec {
     /// Expedia: hotel-ranking; hotels dimension + open-domain search events.
     pub fn expedia() -> Self {
@@ -322,19 +328,35 @@ impl EmulatorSpec {
         self.generate_scaled(DEFAULT_TARGET_N_S, seed)
     }
 
+    fn scale(&self, target_n_s: usize) -> f64 {
+        (target_n_s as f64 / self.n_s_full as f64).min(1.0)
+    }
+
+    /// The dimensions whose scaled `n_R` falls below [`MIN_N_R`] at this
+    /// target and is raised to it, which lowers their tuple ratio below
+    /// Table 1's.
+    pub fn floored_dims(&self, target_n_s: usize) -> Vec<&'static str> {
+        let scale = self.scale(target_n_s);
+        let floored = |d: &&DimSpec| ((d.n_r_full as f64 * scale).round() as usize) < MIN_N_R;
+        self.dims.iter().filter(floored).map(|d| d.name).collect()
+    }
+
     /// Generates with `n_S ≈ target_n_s` (capped at the full-scale size),
-    /// scaling every `n_R` by the same factor so the Table 1 tuple ratios
-    /// are preserved.
+    /// scaling every `n_R` by the same factor. That keeps Table 1's tuple
+    /// ratios except where a size meets its floor: `n_S` is at least
+    /// [`MIN_N_S`] and each `n_R` at least [`MIN_N_R`], so a small target
+    /// raises them and changes those ratios ([`EmulatorSpec::floored_dims`]
+    /// names the dimensions raised).
     pub fn generate_scaled(&self, target_n_s: usize, seed: u64) -> GeneratedStar {
-        let scale = (target_n_s as f64 / self.n_s_full as f64).min(1.0);
-        let n_s = ((self.n_s_full as f64 * scale).round() as usize).max(64);
+        let scale = self.scale(target_n_s);
+        let n_s = ((self.n_s_full as f64 * scale).round() as usize).max(MIN_N_S);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
         // Scaled dimension sizes.
         let n_rs: Vec<usize> = self
             .dims
             .iter()
-            .map(|d| ((d.n_r_full as f64 * scale).round() as usize).clamp(2, d.n_r_full))
+            .map(|d| ((d.n_r_full as f64 * scale).round() as usize).clamp(MIN_N_R, d.n_r_full))
             .collect();
 
         // Dimension feature columns: cardinalities cycle 2,3,4,6,8 and codes
@@ -558,6 +580,22 @@ mod tests {
         let r0 = p0 as f64 / n0 as f64;
         let r1 = p1 as f64 / n1 as f64;
         assert!(r1 - r0 > 0.1, "positive rate by signal value: {r0} vs {r1}");
+    }
+
+    #[test]
+    fn small_dimensions_are_raised_to_the_floor_and_named() {
+        // Walmart's 45 stores scale to 45 · 8000 / 421,570 ≈ 0.85 rows.
+        let walmart = EmulatorSpec::walmart();
+        assert_eq!(walmart.floored_dims(8000), vec!["stores"]);
+        let g = walmart.generate_scaled(8000, 5);
+        let n_rs: Vec<usize> = g.star.stats(g.n_train).iter().map(|d| d.n_rows).collect();
+        assert_eq!((g.n_total(), n_rs), (8000, vec![44, MIN_N_R]));
+        assert!(walmart.floored_dims(100_000).is_empty());
+        assert_eq!(walmart.generate_scaled(1, 5).n_total(), MIN_N_S);
+        let none = EmulatorSpec::all()
+            .iter()
+            .all(|e| e.floored_dims(e.n_s_full).is_empty());
+        assert!(none, "no dimension is floored at full scale");
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! multiply then an add, a unit with a zero delta skipped — so the blocked
 //! loop returns the per-row loop's bits in every kernel tier. A row's logit
 //! likewise does not depend on the row beside it.
+//!
+//! Each minibatch ends in one fused [`Adam`] pass per tensor, with `f32`
+//! moments and one divide and one square root per parameter (see
+//! [`adam`]). That step gives the same bits in every tier, but not the
+//! bits of the earlier `f64`-moment step: it was checked against the
+//! reproduction ledger's Table 3 claims rather than against bits.
 
 pub mod adam;
 
