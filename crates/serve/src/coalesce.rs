@@ -38,7 +38,7 @@
 //! [`Responder::queue_depth`]) — which is what makes *sequential*
 //! keep-alive traffic pay no window at all: a lone request sees an empty
 //! queue and runs solo immediately. The gauge counts only coalescable
-//! (predict) jobs — see `ServerOptions::queue_gauge` — but it still
+//! (`POST /v1/predict`) jobs — see `http::gauge_predicts` — but it still
 //! cannot tell *which model* a pending predict targets (nor whether it is
 //! a large batch that will never merge), so a lane whose leaders
 //! repeatedly wait out the window without a single partner **damps

@@ -68,13 +68,6 @@ pub struct ServerOptions {
     pub idle_timeout: Duration,
     /// Requests served over one keep-alive connection before close.
     pub max_keepalive_requests: usize,
-    /// Which dispatched requests the queue-depth gauge counts (what
-    /// [`Responder::queue_depth`] reports). The gauge exists for the
-    /// predict coalescer's "are merge partners pending?" question, so the
-    /// default counts only `POST /v1/predict` — counting every endpoint
-    /// would let an unrelated parked job (a `/v1/train` runs for minutes)
-    /// impersonate a merge partner for its whole duration.
-    pub queue_gauge: fn(&Request) -> bool,
     /// Optional periodic application callback driven by the reactor's
     /// timer wheel (the auto-demoter rides this). Runs on reactor 0's
     /// thread, so it must be brief and non-blocking; cadence is quantized
@@ -126,8 +119,13 @@ impl std::fmt::Debug for AppTick {
     }
 }
 
-/// Default [`ServerOptions::queue_gauge`]: coalescable predict requests.
-fn gauge_predicts(request: &Request) -> bool {
+/// Whether the queue-depth gauge (what [`Responder::queue_depth`]
+/// reports) counts `request`: only coalescable `POST /v1/predict` jobs.
+/// The gauge exists for the predict coalescer's "are merge partners
+/// pending?" question; counting every endpoint would let an unrelated
+/// parked job (a `/v1/train` runs for minutes) impersonate a merge partner
+/// for its whole duration.
+pub(crate) fn gauge_predicts(request: &Request) -> bool {
     request.method == "POST" && request.path == "/v1/predict"
 }
 
@@ -141,7 +139,6 @@ impl Default for ServerOptions {
             request_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             max_keepalive_requests: MAX_KEEPALIVE_REQUESTS,
-            queue_gauge: gauge_predicts,
             on_tick: None,
             reactors: default_reactors(),
             net_stats: None,
@@ -326,7 +323,7 @@ enum ResponseSink {
 /// 500 (this is what turns a handler panic mid-defer into an error
 /// response instead of a hung connection). The responder also exposes the
 /// server's **executor queue depth** — how many gauge-eligible requests
-/// (by default `POST /v1/predict`, see [`ServerOptions::queue_gauge`]) are
+/// (`POST /v1/predict`, see `gauge_predicts`) are
 /// currently queued for or running on the executor pool — which is what
 /// lets the predict coalescer wait for merge partners only when some are
 /// actually in flight.
@@ -433,7 +430,7 @@ pub(crate) struct Job {
     pub token: u64,
     pub request: Request,
     /// Whether this job was counted into the queue-depth gauge (see
-    /// [`ServerOptions::queue_gauge`]); the executor decrements iff set.
+    /// [`gauge_predicts`]); the executor decrements iff set.
     pub counted: bool,
 }
 

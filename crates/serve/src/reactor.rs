@@ -645,11 +645,11 @@ impl Reactor {
         // ordering), so this hands over at most one job.
         let next = conn.next_job(now);
         if let Some(request) = next {
-            // Gauge-eligible jobs (see ServerOptions::queue_gauge) are
+            // Gauge-eligible jobs (`POST /v1/predict`) are
             // counted before the push so an executor (or a coalescing
             // handler reading the gauge) never observes its own job as
             // "nothing else pending" while more dispatches race in.
-            let counted = (self.opts.queue_gauge)(&request);
+            let counted = crate::http::gauge_predicts(&request);
             if counted {
                 self.queue_depth.fetch_add(1, Ordering::SeqCst);
             }
