@@ -1,7 +1,8 @@
 //! Training identity at the paper budget: the eight Figure-1 study models
 //! (`fit_profile`'s tree, RBF-SVM, ANN and L1-logreg × JoinAll/NoJoin on
 //! `movies` at scale 4000, seed 1, `Budget::paper()`) must reproduce the
-//! decision-value bits recorded for each kernel tier.
+//! decision-value bits recorded for each kernel tier: AVX2, and the
+//! scalar reference every other host runs.
 //!
 //! `train_golden.rs` pins a shrunken budget that trains in seconds under
 //! the debug profile. This test pins the budget the end-to-end `study`
@@ -80,8 +81,6 @@ fn paper_budget_decision_bits_match_the_recorded_hashes() {
     let want = match backend() {
         Backend::Avx2 => AVX2,
         Backend::Scalar => SCALAR,
-        // No hashes are recorded for an SSE2-only host.
-        Backend::Sse2 => return,
     };
     let got = hashes();
     let fmt = |v: &[u64]| {

@@ -15,25 +15,25 @@
 //! with `is_x86_feature_detected!` and caches a [`Backend`] in a
 //! `OnceLock`, so the per-call cost is one predictable branch on an enum.
 //!
-//! Three tiers:
+//! Two tiers:
 //!
 //! - **AVX2** (`std::arch` intrinsics, 256-bit lanes, multi-accumulator) —
 //!   the fast path on any post-2013 x86-64 server.
-//! - **SSE2** (128-bit lanes) — baseline x86-64; always present there, kept
-//!   as an explicit tier so the AVX2 code has a structurally identical,
-//!   independently testable sibling.
-//! - **Scalar** — the bit-exact reference. Its accumulation order is the
-//!   *definition* of every kernel's result: the f32/f64 SIMD tiers may
-//!   re-associate sums (tolerance-tested, ≤1e-5 relative), while the
-//!   integer kernels ([`dot_i8`], [`match_count_u32`]), the elementwise
-//!   updates ([`axpy_f32`], [`add_f32`], [`dense_backward_f32`]) and the
-//!   partner search ([`argmax_gap_f64`]) are exact in every tier and
-//!   therefore backend-independent bit-for-bit.
+//! - **Scalar** — the bit-exact reference, and the tier of every host
+//!   without AVX2 (an older x86-64 or a non-x86 one). Its accumulation
+//!   order is the *definition* of every kernel's result: the AVX2 f32/f64
+//!   kernels may re-associate sums (tolerance-tested, ≤1e-5 relative),
+//!   while the integer kernels ([`dot_i8`], [`match_count_u32`]), the
+//!   elementwise updates ([`axpy_f32`], [`add_f32`], [`dense_backward_f32`])
+//!   and the partner search ([`argmax_gap_f64`]) are exact in both tiers
+//!   and therefore backend-independent bit-for-bit.
 //!
-//! Setting the environment variable `HAMLET_FORCE_SCALAR` (to anything but
-//! `""` or `"0"`) before the first inference pins the process to the scalar
-//! tier — CI runs the whole suite both ways, and fleet operators can use it
-//! to rule the SIMD path in or out when chasing a numeric discrepancy.
+//! Setting the environment variable `HAMLET_FORCE_SCALAR` to `1` or `true`
+//! before the first inference pins the process to the scalar tier; unset,
+//! empty, `0` and `false` leave dispatch alone, and any other value panics
+//! at first use (so a server refuses to start). CI runs the whole suite
+//! both ways, and fleet operators can use it to rule the SIMD path in or
+//! out when chasing a numeric discrepancy.
 
 use std::sync::OnceLock;
 
@@ -42,8 +42,6 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// 256-bit AVX2 integer + float lanes.
     Avx2,
-    /// 128-bit SSE2 lanes (x86-64 baseline).
-    Sse2,
     /// Portable scalar reference — also the forced-override tier.
     Scalar,
 }
@@ -53,7 +51,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Avx2 => "avx2",
-            Backend::Sse2 => "sse2",
             Backend::Scalar => "scalar",
         }
     }
@@ -67,9 +64,27 @@ pub fn backend() -> Backend {
     *BACKEND.get_or_init(|| detect(force_scalar_requested()))
 }
 
-/// Whether `HAMLET_FORCE_SCALAR` asks for the scalar tier.
+/// Whether `HAMLET_FORCE_SCALAR` asks for the scalar tier. Panics on a
+/// value [`parse_force_scalar`] rejects.
 fn force_scalar_requested() -> bool {
-    std::env::var_os("HAMLET_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != *"0")
+    let value = std::env::var_os("HAMLET_FORCE_SCALAR");
+    parse_force_scalar(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses a `HAMLET_FORCE_SCALAR` value (`None` = unset): unset, `""`,
+/// `0` and `false` dispatch, `1` and `true` force scalar, and anything
+/// else is an error naming the variable.
+fn parse_force_scalar(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("" | "0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(s) if s.eq_ignore_ascii_case("true") => Ok(true),
+        Some(s) if s.eq_ignore_ascii_case("false") => Ok(false),
+        Some(s) => Err(format!(
+            "HAMLET_FORCE_SCALAR must be 1, true, 0 or false, got {s:?}"
+        )),
+    }
 }
 
 /// Pure detection logic, split from the env read so tests can drive both
@@ -79,13 +94,8 @@ fn detect(force_scalar: bool) -> Backend {
         return Backend::Scalar;
     }
     #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return Backend::Avx2;
-        }
-        if is_x86_feature_detected!("sse2") {
-            return Backend::Sse2;
-        }
+    if is_x86_feature_detected!("avx2") {
+        return Backend::Avx2;
     }
     Backend::Scalar
 }
@@ -103,10 +113,8 @@ pub fn dot_f32(init: f32, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::dot_f32_avx2(init, a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::dot_f32_sse2(init, a, b) },
         _ => scalar::dot_f32(init, a, b),
     }
 }
@@ -129,10 +137,8 @@ pub fn dense_forward_f32<const R: usize>(
     debug_assert!(out.iter().all(|o| o.len() == bias.len()));
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::dense_forward_f32_avx2(w, bias, x, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::dense_forward_f32_sse2(w, bias, x, out) },
         _ => scalar::dense_forward_f32(w, bias, x, out),
     }
 }
@@ -145,10 +151,8 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::dot_i8_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::dot_i8_sse2(a, b) },
         _ => scalar::dot_i8(a, b),
     }
 }
@@ -161,10 +165,8 @@ pub fn match_count_u32(a: &[u32], b: &[u32]) -> u32 {
     debug_assert_eq!(a.len(), b.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::match_count_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::match_count_sse2(a, b) },
         _ => scalar::match_count_u32(a, b),
     }
 }
@@ -179,10 +181,8 @@ pub fn match_count_u32(a: &[u32], b: &[u32]) -> u32 {
 pub fn argmax_gap_f64(e: f64, values: &[f64], skip: usize) -> usize {
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::argmax_gap_avx2(e, values, skip) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::argmax_gap_sse2(e, values, skip) },
         _ => scalar::argmax_gap_f64(e, values, skip),
     }
 }
@@ -194,10 +194,8 @@ pub fn relu_f32(z: &[f32], out: &mut [f32]) {
     debug_assert_eq!(z.len(), out.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::relu_f32_avx2(z, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::relu_f32_sse2(z, out) },
         _ => scalar::relu_f32(z, out),
     }
 }
@@ -210,10 +208,8 @@ pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::axpy_f32_avx2(a, x, y) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::axpy_f32_sse2(a, x, y) },
         _ => scalar::axpy_f32(a, x, y),
     }
 }
@@ -243,18 +239,16 @@ pub fn dense_backward_f32<const R: usize>(
     debug_assert!(d.iter().zip(&x).all(|(d, x)| d.len() == x.len()) && g.len() == w.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::dense_backward_f32_avx2(delta, x, w, g, d) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::dense_backward_f32_sse2(delta, x, w, g, d) },
         _ => scalar::dense_backward_f32(delta, x, w, g, d),
     }
 }
 
 /// Runs [`dense_backward_f32`] unit by unit over row-major `units × width`
 /// matrices: `fused` takes a unit live in every row, `single` each live row
-/// of any other unit, in row order. Shared by every tier, so all of them
-/// skip and order exactly alike.
+/// of any other unit, in row order. Shared by both tiers, so they skip
+/// and order exactly alike.
 #[inline(always)]
 fn backward_units<const R: usize>(
     delta: [&[f32]; R],
@@ -299,10 +293,8 @@ pub fn add_f32(x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: dispatch reaches these arms only after CPUID detection.
+        // Safety: dispatch reaches this arm only after CPUID detection.
         Backend::Avx2 => unsafe { x86::add_f32_avx2(x, y) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::add_f32_sse2(x, y) },
         _ => scalar::add_f32(x, y),
     }
 }
@@ -390,7 +382,7 @@ pub mod scalar {
     }
 
     /// One step of the partner search: `(best gap, its index)` after
-    /// candidate `j`. The SIMD tiers run their scalar tails through it.
+    /// candidate `j`. The AVX2 tier runs its scalar tails through it.
     #[inline]
     pub(super) fn gap_step(best: (f64, usize), e: f64, v: f64, j: usize) -> (f64, usize) {
         let gap = (e - v).abs();
@@ -468,9 +460,9 @@ pub mod scalar {
     }
 }
 
-// ---- x86-64 SIMD tiers ----
+// ---- x86-64 AVX2 tier ----
 
-/// AVX2 / SSE2 implementations. Public so parity tests can target a tier
+/// AVX2 implementations. Public so parity tests can target the tier
 /// directly (after their own feature detection) regardless of what the
 /// process-wide dispatch selected.
 #[cfg(target_arch = "x86_64")]
@@ -485,23 +477,9 @@ pub mod x86 {
     }
 
     #[inline]
-    unsafe fn hsum128_ps(v: __m128) -> f32 {
-        let mut lanes = [0f32; 4];
-        _mm_storeu_ps(lanes.as_mut_ptr(), v);
-        lanes.iter().sum()
-    }
-
-    #[inline]
     unsafe fn hsum256_epi32(v: __m256i) -> i32 {
         let mut lanes = [0i32; 8];
         _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v);
-        lanes.iter().sum()
-    }
-
-    #[inline]
-    unsafe fn hsum128_epi32(v: __m128i) -> i32 {
-        let mut lanes = [0i32; 4];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, v);
         lanes.iter().sum()
     }
 
@@ -560,36 +538,6 @@ pub mod x86 {
             _mm256_add_ps(acc0, acc1),
             _mm256_add_ps(acc2, acc3),
         ));
-        while i < n {
-            sum += a[i] * b[i];
-            i += 1;
-        }
-        init + sum
-    }
-
-    /// SSE2 [`super::dot_f32`]: 2 × 4-lane accumulators.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_f32_sse2(init: f32, a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm_setzero_ps();
-        let mut acc1 = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            acc0 = _mm_add_ps(
-                acc0,
-                _mm_mul_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pb.add(i))),
-            );
-            acc1 = _mm_add_ps(
-                acc1,
-                _mm_mul_ps(_mm_loadu_ps(pa.add(i + 4)), _mm_loadu_ps(pb.add(i + 4))),
-            );
-            i += 8;
-        }
-        let mut sum = hsum128_ps(_mm_add_ps(acc0, acc1));
         while i < n {
             sum += a[i] * b[i];
             i += 1;
@@ -662,57 +610,6 @@ pub mod x86 {
         out
     }
 
-    /// SSE2 [`super::dense_forward_f32`], one unit at a time.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dense_forward_f32_sse2<const R: usize>(
-        w: &[f32],
-        bias: &[f32],
-        x: [&[f32]; R],
-        mut out: [&mut [f32]; R],
-    ) {
-        for (u, &b) in bias.iter().enumerate() {
-            let z = dot_rows_sse2(b, super::unit_row(w, bias.len(), u), x);
-            for (out, z) in out.iter_mut().zip(z) {
-                out[u] = z;
-            }
-        }
-    }
-
-    /// One unit of [`dense_forward_f32_sse2`]: per row, [`dot_f32_sse2`]'s
-    /// 2 × 4-lane accumulators, reduction and tail.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot_rows_sse2<const R: usize>(init: f32, w: &[f32], x: [&[f32]; R]) -> [f32; R] {
-        let n = common_len(w, &x);
-        let (pw, px) = (w.as_ptr(), x.map(<[f32]>::as_ptr));
-        let mut acc = [[_mm_setzero_ps(); 2]; R];
-        let mut i = 0;
-        while i + 8 <= n {
-            for k in 0..2 {
-                let wv = _mm_loadu_ps(pw.add(i + 4 * k));
-                for (acc, p) in acc.iter_mut().zip(px) {
-                    acc[k] = _mm_add_ps(acc[k], _mm_mul_ps(wv, _mm_loadu_ps(p.add(i + 4 * k))));
-                }
-            }
-            i += 8;
-        }
-        let mut out = [0f32; R];
-        for ((o, [a0, a1]), x) in out.iter_mut().zip(acc).zip(x) {
-            let mut sum = hsum128_ps(_mm_add_ps(a0, a1));
-            for j in i..n {
-                sum += w[j] * x[j];
-            }
-            *o = init + sum;
-        }
-        out
-    }
-
     /// AVX2 [`super::dot_i8`]: 32 bytes per iteration, sign-extended to i16
     /// halves, `madd` pairs into i32 lanes. Exact (integer adds commute).
     ///
@@ -747,39 +644,6 @@ pub mod x86 {
         sum
     }
 
-    /// SSE2 [`super::dot_i8`]: sign-extension via the unpack-high +
-    /// arithmetic-shift trick (no `pmovsxbw` before SSE4.1), then `pmaddwd`.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_i8_sse2(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc = _mm_setzero_si128();
-        let zero = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 16 <= n {
-            let va = _mm_loadu_si128(pa.add(i) as *const __m128i);
-            let vb = _mm_loadu_si128(pb.add(i) as *const __m128i);
-            // Bytes land in the high half of each i16 lane; >>8 arithmetic
-            // sign-extends them back down.
-            let a_lo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, va), 8);
-            let b_lo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, vb), 8);
-            let a_hi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, va), 8);
-            let b_hi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, vb), 8);
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(a_lo, b_lo));
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(a_hi, b_hi));
-            i += 16;
-        }
-        let mut sum = hsum128_epi32(acc);
-        while i < n {
-            sum += i32::from(a[i]) * i32::from(b[i]);
-            i += 1;
-        }
-        sum
-    }
-
     /// AVX2 [`super::match_count_u32`]: 8-lane compare + movemask popcount.
     ///
     /// # Safety
@@ -797,31 +661,6 @@ pub mod x86 {
             );
             count += (_mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32).count_ones();
             i += 8;
-        }
-        while i < n {
-            count += u32::from(a[i] == b[i]);
-            i += 1;
-        }
-        count
-    }
-
-    /// SSE2 [`super::match_count_u32`]: 4-lane compare + movemask popcount.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn match_count_sse2(a: &[u32], b: &[u32]) -> u32 {
-        let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut count = 0u32;
-        let mut i = 0;
-        while i + 4 <= n {
-            let eq = _mm_cmpeq_epi32(
-                _mm_loadu_si128(pa.add(i) as *const __m128i),
-                _mm_loadu_si128(pb.add(i) as *const __m128i),
-            );
-            count += (_mm_movemask_ps(_mm_castsi128_ps(eq)) as u32).count_ones();
-            i += 4;
         }
         while i < n {
             count += u32::from(a[i] == b[i]);
@@ -926,53 +765,6 @@ pub mod x86 {
         best
     }
 
-    /// SSE2 [`super::argmax_gap_f64`]: 2 f64 lanes a step, the blend done
-    /// with and/andnot/or.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn argmax_gap_sse2(e: f64, values: &[f64], skip: usize) -> usize {
-        let (head, tail) = split_skip(values, skip);
-        let best = gap_scan_sse2(e, head, 0, (-1.0, usize::MAX));
-        gap_scan_sse2(e, tail, head.len() + 1, best).1
-    }
-
-    /// SSE2 sibling of `gap_scan_avx2`, 2 elements a step.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn gap_scan_sse2(e: f64, v: &[f64], base: usize, best: (f64, usize)) -> (f64, usize) {
-        let n = v.len();
-        let mut best = best;
-        let mut i = 0;
-        if n >= 2 {
-            let (ve, sign) = (_mm_set1_pd(e), _mm_set1_pd(-0.0));
-            let mut gap_best = _mm_set1_pd(-1.0);
-            let mut idx_best = _mm_set1_epi64x(-1);
-            let mut idx = _mm_set_epi64x(1, 0);
-            let step = _mm_set1_epi64x(2);
-            while i + 2 <= n {
-                let gap = _mm_andnot_pd(sign, _mm_sub_pd(ve, _mm_loadu_pd(v.as_ptr().add(i))));
-                let gt = _mm_cmpgt_pd(gap, gap_best);
-                gap_best = _mm_or_pd(_mm_and_pd(gt, gap), _mm_andnot_pd(gt, gap_best));
-                let gt = _mm_castpd_si128(gt);
-                idx_best = _mm_or_si128(_mm_and_si128(gt, idx), _mm_andnot_si128(gt, idx_best));
-                idx = _mm_add_epi64(idx, step);
-                i += 2;
-            }
-            let (mut gaps, mut lanes) = ([0f64; 2], [0u64; 2]);
-            _mm_storeu_pd(gaps.as_mut_ptr(), gap_best);
-            _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, idx_best);
-            best = reduce_gap_lanes(&gaps, &lanes, base, best);
-        }
-        for (j, &x) in v.iter().enumerate().skip(i) {
-            best = super::scalar::gap_step(best, e, x, base + j);
-        }
-        best
-    }
-
     /// AVX2 [`super::relu_f32`]. `maxps(z, 0)` matches scalar `max(0.0)`
     /// bit-for-bit on every input (NaN → 0 both ways).
     ///
@@ -996,28 +788,6 @@ pub mod x86 {
         }
     }
 
-    /// SSE2 [`super::relu_f32`].
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn relu_f32_sse2(z: &[f32], out: &mut [f32]) {
-        let n = z.len().min(out.len());
-        let zero = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm_max_ps(_mm_loadu_ps(z.as_ptr().add(i)), zero),
-            );
-            i += 4;
-        }
-        while i < n {
-            out[i] = z[i].max(0.0);
-            i += 1;
-        }
-    }
-
     /// AVX2 [`super::axpy_f32`]: `vmulps` then `vaddps`, 8 lanes a step.
     ///
     /// # Safety
@@ -1032,27 +802,6 @@ pub mod x86 {
             let prod = _mm256_mul_ps(va, _mm256_loadu_ps(px.add(i)));
             _mm256_storeu_ps(py.add(i), _mm256_add_ps(_mm256_loadu_ps(py.add(i)), prod));
             i += 8;
-        }
-        while i < n {
-            y[i] += a * x[i];
-            i += 1;
-        }
-    }
-
-    /// SSE2 [`super::axpy_f32`]: `mulps` then `addps`, 4 lanes a step.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn axpy_f32_sse2(a: f32, x: &[f32], y: &mut [f32]) {
-        let n = x.len().min(y.len());
-        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
-        let va = _mm_set1_ps(a);
-        let mut i = 0;
-        while i + 4 <= n {
-            let prod = _mm_mul_ps(va, _mm_loadu_ps(px.add(i)));
-            _mm_storeu_ps(py.add(i), _mm_add_ps(_mm_loadu_ps(py.add(i)), prod));
-            i += 4;
         }
         while i < n {
             y[i] += a * x[i];
@@ -1128,69 +877,6 @@ pub mod x86 {
         }
     }
 
-    /// SSE2 [`super::dense_backward_f32`].
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dense_backward_f32_sse2<const R: usize>(
-        delta: [&[f32]; R],
-        x: [&[f32]; R],
-        w: &[f32],
-        g: &mut [f32],
-        d: [&mut [f32]; R],
-    ) {
-        // Safety (both closures): SSE2 is the x86-64 baseline.
-        super::backward_units(
-            delta,
-            x,
-            w,
-            g,
-            d,
-            |a, x, w, g, d| unsafe { axpy_rows_sse2(a, x, w, g, d) },
-            |a, x, w, g, d| unsafe { axpy_rows_sse2([a], [x], w, g, [d]) },
-        );
-    }
-
-    /// One unit of [`dense_backward_f32_sse2`], 4 lanes a step.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn axpy_rows_sse2<const R: usize>(
-        a: [f32; R],
-        x: [&[f32]; R],
-        w: &[f32],
-        g: &mut [f32],
-        mut d: [&mut [f32]; R],
-    ) {
-        let n = common_len(w, &x).min(g.len());
-        let n = d.iter().fold(n, |n, d| n.min(d.len()));
-        let (pw, pg) = (w.as_ptr(), g.as_mut_ptr());
-        let px = x.map(<[f32]>::as_ptr);
-        let pd = d.each_mut().map(|d| d.as_mut_ptr());
-        let va = a.map(|a| _mm_set1_ps(a));
-        let mut i = 0;
-        while i + 4 <= n {
-            let wv = _mm_loadu_ps(pw.add(i));
-            let mut gv = _mm_loadu_ps(pg.add(i));
-            for r in 0..R {
-                gv = _mm_add_ps(gv, _mm_mul_ps(va[r], _mm_loadu_ps(px[r].add(i))));
-                let dv = _mm_add_ps(_mm_loadu_ps(pd[r].add(i)), _mm_mul_ps(va[r], wv));
-                _mm_storeu_ps(pd[r].add(i), dv);
-            }
-            _mm_storeu_ps(pg.add(i), gv);
-            i += 4;
-        }
-        for j in i..n {
-            for r in 0..R {
-                g[j] += a[r] * x[r][j];
-                d[r][j] += a[r] * w[j];
-            }
-        }
-    }
-
     /// AVX2 [`super::add_f32`].
     ///
     /// # Safety
@@ -1204,26 +890,6 @@ pub mod x86 {
             let sum = _mm256_add_ps(_mm256_loadu_ps(py.add(i)), _mm256_loadu_ps(px.add(i)));
             _mm256_storeu_ps(py.add(i), sum);
             i += 8;
-        }
-        while i < n {
-            y[i] += x[i];
-            i += 1;
-        }
-    }
-
-    /// SSE2 [`super::add_f32`].
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn add_f32_sse2(x: &[f32], y: &mut [f32]) {
-        let n = x.len().min(y.len());
-        let (px, py) = (x.as_ptr(), y.as_mut_ptr());
-        let mut i = 0;
-        while i + 4 <= n {
-            let sum = _mm_add_ps(_mm_loadu_ps(py.add(i)), _mm_loadu_ps(px.add(i)));
-            _mm_storeu_ps(py.add(i), sum);
-            i += 4;
         }
         while i < n {
             y[i] += x[i];
@@ -1328,19 +994,34 @@ mod tests {
     #[test]
     fn forced_scalar_detection() {
         assert_eq!(detect(true), Backend::Scalar);
-        // Unforced detection picks *some* tier, and on x86-64 never scalar
-        // (SSE2 is baseline).
+        // Unforced detection picks AVX2 exactly when the CPU has it, and
+        // the scalar reference otherwise.
         let b = detect(false);
         #[cfg(target_arch = "x86_64")]
-        assert_ne!(b, Backend::Scalar);
-        let _ = b.name();
+        assert_eq!(b == Backend::Avx2, is_x86_feature_detected!("avx2"));
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(b, Backend::Scalar);
+    }
+
+    #[test]
+    fn force_scalar_values_parse_like_hamlet_full() {
+        for off in [None, Some(""), Some("0"), Some("false"), Some("FALSE")] {
+            assert_eq!(parse_force_scalar(off), Ok(false), "{off:?}");
+        }
+        for on in ["1", "true", "True"] {
+            assert_eq!(parse_force_scalar(Some(on)), Ok(true), "{on:?}");
+        }
+        assert_eq!(
+            parse_force_scalar(Some("yes")),
+            Err(r#"HAMLET_FORCE_SCALAR must be 1, true, 0 or false, got "yes""#.to_string())
+        );
     }
 
     #[test]
     fn backend_is_cached_and_named() {
         let b = backend();
         assert_eq!(backend(), b);
-        assert!(["avx2", "sse2", "scalar"].contains(&b.name()));
+        assert!(["avx2", "scalar"].contains(&b.name()));
     }
 
     #[test]
@@ -1358,31 +1039,27 @@ mod tests {
     #[test]
     fn every_x86_tier_matches_scalar() {
         if !is_x86_feature_detected!("avx2") {
-            return; // SSE2-only host: the dispatch test already covers it.
+            return; // Without AVX2 the host runs the scalar tier only.
         }
         for n in [0usize, 3, 16, 63, 64, 257] {
             let af = f32s(n, 10 + n as u64);
             let bf = f32s(n, 20 + n as u64);
             let want = scalar::dot_f32(-1.25, &af, &bf);
-            // Safety: AVX2 (and baseline SSE2) verified above.
+            // Safety: AVX2 verified above.
             let avx = unsafe { x86::dot_f32_avx2(-1.25, &af, &bf) };
-            let sse = unsafe { x86::dot_f32_sse2(-1.25, &af, &bf) };
             assert!(rel_close(want, avx, 1e-5), "avx2 n={n}");
-            assert!(rel_close(want, sse, 1e-5), "sse2 n={n}");
 
             let ai = i8s(n, 30 + n as u64);
             let bi = i8s(n, 40 + n as u64);
             // Integer kernels are exact in every tier.
             let want_i = scalar::dot_i8(&ai, &bi);
             assert_eq!(unsafe { x86::dot_i8_avx2(&ai, &bi) }, want_i, "n={n}");
-            assert_eq!(unsafe { x86::dot_i8_sse2(&ai, &bi) }, want_i, "n={n}");
 
             let mut r = rng(50 + n as u64);
             let au: Vec<u32> = (0..n).map(|_| r.gen_range(0..4)).collect();
             let bu: Vec<u32> = (0..n).map(|_| r.gen_range(0..4)).collect();
             let want_m = scalar::match_count_u32(&au, &bu);
             assert_eq!(unsafe { x86::match_count_avx2(&au, &bu) }, want_m);
-            assert_eq!(unsafe { x86::match_count_sse2(&au, &bu) }, want_m);
 
             // ReLU is exact in every tier, including NaN handling.
             let mut zs = f32s(n, 60 + n as u64);
@@ -1395,9 +1072,6 @@ mod tests {
             let mut got = vec![7f32; n];
             unsafe { x86::relu_f32_avx2(&zs, &mut got) };
             assert_eq!(got, want_r, "avx2 relu n={n}");
-            let mut got = vec![7f32; n];
-            unsafe { x86::relu_f32_sse2(&zs, &mut got) };
-            assert_eq!(got, want_r, "sse2 relu n={n}");
         }
     }
 
@@ -1439,66 +1113,11 @@ mod tests {
             .collect()
     }
 
-    type Axpy = fn(f32, &[f32], &mut [f32]);
-    type Add = fn(&[f32], &mut [f32]);
-
-    /// Every tier this host can run, as `(name, axpy, add)`.
-    fn elementwise_tiers() -> Vec<(&'static str, Axpy, Add)> {
-        let mut tiers: Vec<(&'static str, Axpy, Add)> = vec![("dispatched", axpy_f32, add_f32)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Safety (all four closures): each tier is listed only after its
-            // feature check, and SSE2 is the x86-64 baseline.
-            tiers.push((
-                "sse2",
-                |a, x, y| unsafe { x86::axpy_f32_sse2(a, x, y) },
-                |x, y| unsafe { x86::add_f32_sse2(x, y) },
-            ));
-            if is_x86_feature_detected!("avx2") {
-                tiers.push((
-                    "avx2",
-                    |a, x, y| unsafe { x86::axpy_f32_avx2(a, x, y) },
-                    |x, y| unsafe { x86::add_f32_avx2(x, y) },
-                ));
-            }
-        }
-        tiers
-    }
-
-    #[test]
-    fn axpy_and_add_match_the_scalar_loop_bitwise_in_every_tier() {
-        let scales = [1.5f32, -0.0, 0.0, f32::NAN, f32::from_bits(3), 1e30];
-        for n in 0..=17usize {
-            let x = edge_f32s(n, n as u64);
-            let y0 = edge_f32s(n, 100 + n as u64);
-            for (name, axpy, add) in elementwise_tiers() {
-                for &a in &scales {
-                    let mut want = y0.clone();
-                    for (v, &xi) in want.iter_mut().zip(&x) {
-                        *v += a * xi;
-                    }
-                    let mut got = y0.clone();
-                    axpy(a, &x, &mut got);
-                    assert_eq!(bits(&got), bits(&want), "{name} axpy a={a} n={n}");
-                }
-                let mut want = y0.clone();
-                for (v, &xi) in want.iter_mut().zip(&x) {
-                    *v += xi;
-                }
-                let mut got = y0.clone();
-                add(&x, &mut got);
-                assert_eq!(bits(&got), bits(&want), "{name} add n={n}");
-            }
-        }
-    }
-
     /// A kernel tier a parity test can pin, whatever dispatch selected.
     #[derive(Debug, Clone, Copy)]
     enum Tier {
         Dispatched,
         Scalar,
-        #[cfg(target_arch = "x86_64")]
-        Sse2,
         #[cfg(target_arch = "x86_64")]
         Avx2,
     }
@@ -1507,25 +1126,19 @@ mod tests {
     fn tiers() -> Vec<Tier> {
         let mut tiers = vec![Tier::Dispatched, Tier::Scalar];
         #[cfg(target_arch = "x86_64")]
-        {
-            tiers.push(Tier::Sse2);
-            if is_x86_feature_detected!("avx2") {
-                tiers.push(Tier::Avx2);
-            }
+        if is_x86_feature_detected!("avx2") {
+            tiers.push(Tier::Avx2);
         }
         tiers
     }
 
-    // Safety (every `unsafe` block in the four helpers below): `tiers()`
-    // lists a SIMD tier only after its feature check, and SSE2 is the
-    // x86-64 baseline.
+    // Safety (every `unsafe` block in the helpers below): `tiers()` lists
+    // the AVX2 tier only after its feature check.
 
     fn dot_in(t: Tier, init: f32, a: &[f32], b: &[f32]) -> f32 {
         match t {
             Tier::Dispatched => dot_f32(init, a, b),
             Tier::Scalar => scalar::dot_f32(init, a, b),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => unsafe { x86::dot_f32_sse2(init, a, b) },
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => unsafe { x86::dot_f32_avx2(init, a, b) },
         }
@@ -1542,8 +1155,6 @@ mod tests {
             Tier::Dispatched => dense_forward_f32(w, bias, x, out),
             Tier::Scalar => scalar::dense_forward_f32(w, bias, x, out),
             #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => unsafe { x86::dense_forward_f32_sse2(w, bias, x, out) },
-            #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => unsafe { x86::dense_forward_f32_avx2(w, bias, x, out) },
         }
     }
@@ -1553,9 +1164,25 @@ mod tests {
             Tier::Dispatched => axpy_f32(a, x, y),
             Tier::Scalar => scalar::axpy_f32(a, x, y),
             #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => unsafe { x86::axpy_f32_sse2(a, x, y) },
-            #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => unsafe { x86::axpy_f32_avx2(a, x, y) },
+        }
+    }
+
+    fn add_in(t: Tier, x: &[f32], y: &mut [f32]) {
+        match t {
+            Tier::Dispatched => add_f32(x, y),
+            Tier::Scalar => scalar::add_f32(x, y),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { x86::add_f32_avx2(x, y) },
+        }
+    }
+
+    fn argmax_gap_in(t: Tier, e: f64, values: &[f64], skip: usize) -> usize {
+        match t {
+            Tier::Dispatched => argmax_gap_f64(e, values, skip),
+            Tier::Scalar => scalar::argmax_gap_f64(e, values, skip),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { x86::argmax_gap_avx2(e, values, skip) },
         }
     }
 
@@ -1571,9 +1198,34 @@ mod tests {
             Tier::Dispatched => dense_backward_f32(delta, x, w, g, d),
             Tier::Scalar => scalar::dense_backward_f32(delta, x, w, g, d),
             #[cfg(target_arch = "x86_64")]
-            Tier::Sse2 => unsafe { x86::dense_backward_f32_sse2(delta, x, w, g, d) },
-            #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => unsafe { x86::dense_backward_f32_avx2(delta, x, w, g, d) },
+        }
+    }
+
+    #[test]
+    fn axpy_and_add_match_the_scalar_loop_bitwise_in_every_tier() {
+        let scales = [1.5f32, -0.0, 0.0, f32::NAN, f32::from_bits(3), 1e30];
+        for n in 0..=17usize {
+            let x = edge_f32s(n, n as u64);
+            let y0 = edge_f32s(n, 100 + n as u64);
+            for t in tiers() {
+                for &a in &scales {
+                    let mut want = y0.clone();
+                    for (v, &xi) in want.iter_mut().zip(&x) {
+                        *v += a * xi;
+                    }
+                    let mut got = y0.clone();
+                    axpy_in(t, a, &x, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{t:?} axpy a={a} n={n}");
+                }
+                let mut want = y0.clone();
+                for (v, &xi) in want.iter_mut().zip(&x) {
+                    *v += xi;
+                }
+                let mut got = y0.clone();
+                add_in(t, &x, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{t:?} add n={n}");
+            }
         }
     }
 
@@ -1666,30 +1318,6 @@ mod tests {
         }
     }
 
-    type ArgmaxGap = fn(f64, &[f64], usize) -> usize;
-
-    /// Every partner-search tier this host can run, as `(name, kernel)`.
-    fn argmax_gap_tiers() -> Vec<(&'static str, ArgmaxGap)> {
-        let mut tiers: Vec<(&'static str, ArgmaxGap)> = vec![
-            ("dispatched", argmax_gap_f64),
-            ("scalar", scalar::argmax_gap_f64),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Safety (both closures): each tier is listed only after its
-            // feature check, and SSE2 is the x86-64 baseline.
-            tiers.push(("sse2", |e, v, skip| unsafe {
-                x86::argmax_gap_sse2(e, v, skip)
-            }));
-            if is_x86_feature_detected!("avx2") {
-                tiers.push(("avx2", |e, v, skip| unsafe {
-                    x86::argmax_gap_avx2(e, v, skip)
-                }));
-            }
-        }
-        tiers
-    }
-
     /// SMO's sequential second-choice loop, as it stood before the kernel.
     fn sequential_partner(e: f64, values: &[f64], skip: usize) -> usize {
         let mut best_j = usize::MAX;
@@ -1735,11 +1363,11 @@ mod tests {
                     es.extend(values.get(skip));
                     for e in es {
                         let want = sequential_partner(e, values, skip);
-                        for (name, kernel) in argmax_gap_tiers() {
+                        for t in tiers() {
                             assert_eq!(
-                                kernel(e, values, skip),
+                                argmax_gap_in(t, e, values, skip),
                                 want,
-                                "{name} n={n} skip={skip} e={e} values={values:?}"
+                                "{t:?} n={n} skip={skip} e={e} values={values:?}"
                             );
                         }
                     }
@@ -1748,10 +1376,10 @@ mod tests {
             // An all-equal cache returns the first index that is not `skip`.
             for skip in 0..n {
                 let first = usize::from(skip == 0);
-                for (name, kernel) in argmax_gap_tiers() {
-                    let got = kernel(0.25, &flat, skip);
+                for t in tiers() {
+                    let got = argmax_gap_in(t, 0.25, &flat, skip);
                     let want = if first < n { first } else { usize::MAX };
-                    assert_eq!(got, want, "{name} all-equal n={n} skip={skip}");
+                    assert_eq!(got, want, "{t:?} all-equal n={n} skip={skip}");
                 }
             }
         }

@@ -148,8 +148,8 @@ pub struct StatsResponse {
     pub models_registered: usize,
     /// Versions currently resident in memory.
     pub models_resident: usize,
-    /// SIMD kernel dispatch tier selected at startup (`avx2`, `sse2`, or
-    /// `scalar`; `scalar` also when forced via `HAMLET_FORCE_SCALAR`).
+    /// SIMD kernel dispatch tier selected at startup: `avx2`, or `scalar`
+    /// on a host without AVX2 or when forced via `HAMLET_FORCE_SCALAR`.
     pub kernel_backend: String,
     /// One row per endpoint dimension, fixed order.
     pub endpoints: Vec<EndpointStatsRow>,

@@ -155,9 +155,10 @@ CASCADE:  build bundles existing artifacts (comma-separated, cheapest
           top tier, escalation ratio, rows answered per tier, and a
           single-threaded speedup estimate over the top tier alone.
 
-KERNELS:  inference uses runtime-dispatched SIMD kernels (AVX2, then
-          SSE2, else scalar; `/v1/stats` reports the chosen tier). Set
-          HAMLET_FORCE_SCALAR=1 to pin the bit-exact scalar reference.
+KERNELS:  inference uses runtime-dispatched SIMD kernels (AVX2 when the
+          CPU has it, else the bit-exact scalar reference; `/v1/stats`
+          reports the chosen tier). Set HAMLET_FORCE_SCALAR=1 (or true) to
+          pin the scalar tier; 0, false or empty leave dispatch alone.
 ";
 
 /// Splits CLI args into positional operands and `--flag value` pairs.

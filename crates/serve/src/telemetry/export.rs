@@ -22,7 +22,7 @@ pub struct OpsGauges {
     pub models_registered: usize,
     /// Versions currently resident in memory.
     pub models_resident: usize,
-    /// SIMD kernel backend chosen at startup (`avx2`/`sse2`/`scalar`).
+    /// SIMD kernel backend chosen at startup (`avx2`/`scalar`).
     pub kernel_backend: &'static str,
 }
 
