@@ -2,8 +2,8 @@
 //! boxed-trait-object path, batch throughput through `predict_batch`,
 //! saturation (large-batch scoped-thread fan-out vs single thread), the
 //! reactor's idle-keep-alive headline (HTTP predict throughput with 0 vs
-//! 256 parked connections), raw label encoding, and artifact save/load
-//! costs.
+//! 256 parked connections), raw label encoding, `/v1/predict` body
+//! decoding, and artifact save/load costs.
 //!
 //! Run with `cargo bench -p hamlet-bench --bench serve_latency`.
 
@@ -19,10 +19,13 @@ use hamlet_core::feature_config::{build_dataset, build_splits, FeatureConfig};
 use hamlet_core::model_zoo::{Budget, ModelSpec};
 use hamlet_datagen::prelude::*;
 use hamlet_ml::any::AnyClassifier;
+use hamlet_ml::contract::FlatRows;
 use hamlet_ml::model::Classifier;
+use hamlet_serve::api::{decode_predict, PredictRequest};
 use hamlet_serve::artifact::{ModelArtifact, TrainingMetadata, FORMAT_VERSION};
 use hamlet_serve::http::ServerOptions;
 use hamlet_serve::server::{serve_with, AppState};
+use hamlet_serve::train::resolve_dataset;
 
 fn trained_tree() -> (AnyClassifier, Vec<u32>, usize, GeneratedStar) {
     let g = onexr::generate(OneXrParams {
@@ -209,15 +212,51 @@ fn raw_encode_overhead(c: &mut Criterion) {
         .iter()
         .map(|r| contract.decode_row(r).unwrap())
         .collect();
-    let n = coded.len();
-    let mut group = c.benchmark_group(format!("ingest/n{n}"));
+    let coded = FlatRows::from_nested(&coded, |&code| code);
+    let raw = FlatRows::from_nested(&raw, String::as_str);
+    let mut group = c.benchmark_group(format!("ingest/n{}", coded.len()));
     group.bench_function("validate_coded", |b| {
-        b.iter(|| black_box(contract.validate_batch(black_box(&coded)).unwrap()))
+        b.iter(|| black_box(contract.validate_batch(black_box(coded.clone())).unwrap()))
     });
     group.bench_function("encode_raw", |b| {
         b.iter(|| black_box(contract.encode_batch(black_box(&raw)).unwrap()))
     });
     group.finish();
+}
+
+/// Body decode for `/v1/predict`, on bodies shaped like e2ebench's: 64
+/// coded rows of the Movies JoinAll star (27 features, `mlp_batch`), and
+/// 8 rows of raw labels (`small_raw`'s largest). The single-pass
+/// `decode_predict` against the serde reference it replaced.
+fn predict_body_decode(c: &mut Criterion) {
+    let g = resolve_dataset("movies", 4000, 7).unwrap();
+    let data = build_dataset(&g.star, &FeatureConfig::JoinAll).unwrap();
+    let contract = data.contract();
+    let d = data.n_features();
+    let coded: Vec<Vec<u32>> = (0..64).map(|i| data.row(i * 7).to_vec()).collect();
+    let body = |key: &str, rows: String| format!("{{\"model\":\"movies-ann\",\"{key}\":{rows}}}");
+    let coded_body = body("rows", serde_json::to_string(&coded).unwrap());
+    let raw: Vec<Vec<String>> = coded[..8]
+        .iter()
+        .map(|r| contract.decode_row(r).unwrap())
+        .collect();
+    let raw_body = body("rows_raw", serde_json::to_string(&raw).unwrap());
+
+    let mut group = c.benchmark_group(format!("ingest/n64x{d}"));
+    group.bench_function("decode_coded", |b| {
+        b.iter(|| black_box(decode_predict(black_box(coded_body.as_bytes())).unwrap()))
+    });
+    group.bench_function("decode_coded_serde", |b| {
+        b.iter(|| {
+            black_box(
+                serde_json::from_slice::<PredictRequest>(black_box(coded_body.as_bytes())).unwrap(),
+            )
+        })
+    });
+    group.finish();
+    c.bench_function("ingest/n8/decode_raw", |b| {
+        b.iter(|| black_box(decode_predict(black_box(raw_body.as_bytes())).unwrap()))
+    });
 }
 
 fn artifact_io(c: &mut Criterion) {
@@ -264,6 +303,7 @@ criterion_group!(
     predict_batch_saturation,
     idle_keepalive_throughput,
     raw_encode_overhead,
+    predict_body_decode,
     artifact_io
 );
 criterion_main!(benches);

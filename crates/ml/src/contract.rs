@@ -88,6 +88,96 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
+/// A batch of rows laid out flat: every row's cells back to back in
+/// row-major order, plus each row's width. It is the shape the predict
+/// decoder writes and batch validation reads. Rows may be ragged; a wrong
+/// width is a per-row error, never a splice across row boundaries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlatRows<T> {
+    /// Every row's cells, back to back.
+    pub cells: Vec<T>,
+    /// Each row's cell count, in row order.
+    pub widths: Vec<usize>,
+}
+
+impl<T> Default for FlatRows<T> {
+    fn default() -> Self {
+        FlatRows {
+            cells: Vec::new(),
+            widths: Vec::new(),
+        }
+    }
+}
+
+impl<T> FlatRows<T> {
+    /// Flattens nested rows, mapping each cell through `cell`.
+    pub fn from_nested<'r, R, U: 'r>(rows: &'r [R], mut cell: impl FnMut(&'r U) -> T) -> Self
+    where
+        R: AsRef<[U]>,
+    {
+        FlatRows {
+            cells: rows
+                .iter()
+                .flat_map(|r| r.as_ref())
+                .map(&mut cell)
+                .collect(),
+            widths: rows.iter().map(|r| r.as_ref().len()).collect(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// Whether the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.widths.is_empty()
+    }
+
+    /// The rows as slices, in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[T]> + '_ {
+        let mut start = 0;
+        self.widths.iter().map(move |&w| {
+            let row = &self.cells[start..start + w];
+            start += w;
+            row
+        })
+    }
+}
+
+/// Per-row violations collected while validating or encoding a batch.
+#[derive(Default)]
+struct Issues {
+    listed: Vec<RowIssue>,
+    total: usize,
+}
+
+impl Issues {
+    /// Lists one violation; its detail is only formatted while the list is
+    /// under [`MAX_COLLECTED_ISSUES`]. Callers count offending rows in
+    /// `total` themselves (a row with several bad features counts once).
+    fn note(&mut self, row: usize, feature: Option<&str>, detail: impl FnOnce() -> String) {
+        if self.listed.len() < MAX_COLLECTED_ISSUES {
+            self.listed.push(RowIssue {
+                row,
+                feature: feature.map(str::to_string),
+                detail: detail(),
+            });
+        }
+    }
+
+    fn into_result(self, flat: Vec<u32>) -> std::result::Result<Vec<u32>, BatchError> {
+        if self.total > 0 {
+            return Err(BatchError::Rows {
+                issues: self.listed,
+                total: self.total,
+            });
+        }
+        Ok(flat)
+    }
+}
+
 /// A model's input contract: ordered per-feature metadata, optionally with
 /// full label↔code dictionaries. Persisted by reference
 /// ([`FeatureContract::serialize_by_ref`]) next to a [`DomainInterner`].
@@ -182,111 +272,83 @@ impl FeatureContract {
     }
 
     /// Validates a batch of pre-encoded rows (width and per-feature code
-    /// range), returning the flattened row-major buffer the batched predict
-    /// hot path consumes. All offending rows are found (not just the
-    /// first); the first [`MAX_COLLECTED_ISSUES`] are reported in detail.
-    pub fn validate_batch(&self, rows: &[Vec<u32>]) -> std::result::Result<Vec<u32>, BatchError> {
+    /// range) and hands back its cells: on success they already are the
+    /// row-major buffer the batched predict hot path consumes. All
+    /// offending rows are found (not just the first); the first
+    /// [`MAX_COLLECTED_ISSUES`] are reported in detail.
+    pub fn validate_batch(&self, rows: FlatRows<u32>) -> std::result::Result<Vec<u32>, BatchError> {
         let d = self.width();
-        let mut flat = Vec::with_capacity(rows.len() * d);
-        let mut issues = Vec::new();
-        let mut total = 0usize;
-        for (i, row) in rows.iter().enumerate() {
+        let mut issues = Issues::default();
+        for (i, row) in rows.rows().enumerate() {
             if row.len() != d {
-                total += 1;
-                if issues.len() < MAX_COLLECTED_ISSUES {
-                    issues.push(RowIssue {
-                        row: i,
-                        feature: None,
-                        detail: format!("has {} codes; expected {d} features per row", row.len()),
-                    });
-                }
+                issues.total += 1;
+                issues.note(i, None, || {
+                    format!("has {} codes; expected {d} features per row", row.len())
+                });
                 continue;
             }
             let mut row_bad = false;
             for (meta, &code) in self.features.iter().zip(row) {
                 if code >= meta.cardinality {
                     row_bad = true;
-                    if issues.len() < MAX_COLLECTED_ISSUES {
-                        issues.push(RowIssue {
-                            row: i,
-                            feature: Some(meta.name.clone()),
-                            detail: format!(
-                                "code {code} out of domain (cardinality {})",
-                                meta.cardinality
-                            ),
-                        });
-                    }
+                    issues.note(i, Some(&meta.name), || {
+                        format!(
+                            "code {code} out of domain (cardinality {})",
+                            meta.cardinality
+                        )
+                    });
                 }
             }
-            if row_bad {
-                total += 1;
-            } else {
-                flat.extend_from_slice(row);
-            }
+            issues.total += usize::from(row_bad);
         }
-        if total > 0 {
-            return Err(BatchError::Rows { issues, total });
-        }
-        Ok(flat)
+        issues.into_result(rows.cells)
     }
 
     /// Dictionary-encodes a batch of raw label rows into the flattened
-    /// row-major code buffer. Labels unseen at training time fall back to
-    /// the `Others` slot on open domains (the paper's §2.2 convention) and
-    /// are per-row errors on closed domains.
-    pub fn encode_batch(&self, rows: &[Vec<String>]) -> std::result::Result<Vec<u32>, BatchError> {
+    /// row-major code buffer, looking each label up in its feature's
+    /// `CatDomain` index by reference. Labels unseen at training time fall
+    /// back to the `Others` slot on open domains (the paper's §2.2
+    /// convention) and are per-row errors on closed domains.
+    pub fn encode_batch<S: AsRef<str>>(
+        &self,
+        rows: &FlatRows<S>,
+    ) -> std::result::Result<Vec<u32>, BatchError> {
         if let Some(missing) = self.features.iter().find(|f| f.domain.is_none()) {
             return Err(BatchError::MissingDomain {
                 feature: missing.name.clone(),
             });
         }
         let d = self.width();
-        let mut flat = Vec::with_capacity(rows.len() * d);
-        let mut issues = Vec::new();
-        let mut total = 0usize;
-        for (i, row) in rows.iter().enumerate() {
+        let mut flat = Vec::with_capacity(rows.cells.len());
+        let mut issues = Issues::default();
+        for (i, row) in rows.rows().enumerate() {
             if row.len() != d {
-                total += 1;
-                if issues.len() < MAX_COLLECTED_ISSUES {
-                    issues.push(RowIssue {
-                        row: i,
-                        feature: None,
-                        detail: format!("has {} labels; expected {d} features per row", row.len()),
-                    });
-                }
+                issues.total += 1;
+                issues.note(i, None, || {
+                    format!("has {} labels; expected {d} features per row", row.len())
+                });
                 continue;
             }
-            let mark = flat.len();
             let mut row_bad = false;
             for (meta, label) in self.features.iter().zip(row) {
                 let domain = meta.domain.as_ref().expect("checked above");
+                let label = label.as_ref();
                 match domain.encode(label) {
                     Some(code) => flat.push(code),
                     None => {
                         row_bad = true;
-                        if issues.len() < MAX_COLLECTED_ISSUES {
-                            issues.push(RowIssue {
-                                row: i,
-                                feature: Some(meta.name.clone()),
-                                detail: format!(
-                                    "label `{label}` not in closed domain `{}` \
-                                     (no `Others` slot)",
-                                    domain.name()
-                                ),
-                            });
-                        }
+                        issues.note(i, Some(&meta.name), || {
+                            format!(
+                                "label `{label}` not in closed domain `{}` (no `Others` slot)",
+                                domain.name()
+                            )
+                        });
                     }
                 }
             }
-            if row_bad {
-                total += 1;
-                flat.truncate(mark);
-            }
+            issues.total += usize::from(row_bad);
         }
-        if total > 0 {
-            return Err(BatchError::Rows { issues, total });
-        }
-        Ok(flat)
+        issues.into_result(flat)
     }
 
     /// Decodes one row of codes back into labels. Errors when the contract
@@ -506,6 +568,24 @@ mod tests {
     use super::*;
     use hamlet_relation::domain::CatDomain;
 
+    fn codes(rows: &[Vec<u32>]) -> FlatRows<u32> {
+        FlatRows::from_nested(rows, |&c| c)
+    }
+
+    fn labels<'a>(rows: &[&[&'a str]]) -> FlatRows<&'a str> {
+        FlatRows::from_nested(rows, |&l| l)
+    }
+
+    #[test]
+    fn flat_rows_keep_ragged_rows_apart() {
+        let rows = codes(&[vec![1, 2, 3], vec![], vec![4]]);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.cells, vec![1, 2, 3, 4]);
+        let back: Vec<&[u32]> = rows.rows().collect();
+        assert_eq!(back, vec![&[1, 2, 3][..], &[][..], &[4][..]]);
+        assert!(FlatRows::<u32>::default().is_empty());
+    }
+
     fn contract_open_closed() -> FeatureContract {
         // Feature 0: closed domain {v0, v1}; feature 1: open domain
         // {v0, v1, v2, Others}.
@@ -543,19 +623,13 @@ mod tests {
         assert!(c.is_open(1));
         // Known labels encode exactly; unseen FK label hits Others (code 3).
         let flat = c
-            .encode_batch(&[
-                vec!["v1".into(), "v2".into()],
-                vec!["v0".into(), "brand-new-entity".into()],
-            ])
+            .encode_batch(&labels(&[&["v1", "v2"], &["v0", "brand-new-entity"]]))
             .unwrap();
         assert_eq!(flat, vec![1, 2, 0, 3]);
         // Unseen label on the closed feature is a per-row error naming both
         // the row and the feature.
         let err = c
-            .encode_batch(&[
-                vec!["v0".into(), "v0".into()],
-                vec!["nope".into(), "v0".into()],
-            ])
+            .encode_batch(&labels(&[&["v0", "v0"], &["nope", "v0"]]))
             .unwrap_err();
         match &err {
             BatchError::Rows { issues, total } => {
@@ -573,7 +647,7 @@ mod tests {
     fn encode_without_domains_is_a_contract_error() {
         let c = FeatureContract::new(vec![FeatureMeta::new("f", 4, Provenance::Home)]).unwrap();
         assert!(!c.has_domains());
-        match c.encode_batch(&[vec!["v0".into()]]) {
+        match c.encode_batch(&labels(&[&["v0"]])) {
             Err(BatchError::MissingDomain { feature }) => assert_eq!(feature, "f"),
             other => panic!("expected MissingDomain, got {other:?}"),
         }
@@ -583,12 +657,12 @@ mod tests {
     fn validate_batch_reports_every_offending_row() {
         let c = contract_open_closed();
         let err = c
-            .validate_batch(&[
+            .validate_batch(codes(&[
                 vec![0, 1],
                 vec![0],    // wrong width
                 vec![0, 9], // bad code
                 vec![5, 0], // bad code
-            ])
+            ]))
             .unwrap_err();
         match err {
             BatchError::Rows { issues, total } => {
@@ -605,7 +679,7 @@ mod tests {
         }
         // A clean batch flattens row-major.
         assert_eq!(
-            c.validate_batch(&[vec![0, 3], vec![1, 0]]).unwrap(),
+            c.validate_batch(codes(&[vec![0, 3], vec![1, 0]])).unwrap(),
             vec![0, 3, 1, 0]
         );
     }
@@ -614,7 +688,7 @@ mod tests {
     fn issue_collection_is_capped_but_total_is_exact() {
         let c = contract_open_closed();
         let rows: Vec<Vec<u32>> = (0..20).map(|_| vec![9, 9]).collect();
-        match c.validate_batch(&rows).unwrap_err() {
+        match c.validate_batch(codes(&rows)).unwrap_err() {
             BatchError::Rows { issues, total } => {
                 assert_eq!(total, 20);
                 assert_eq!(issues.len(), MAX_COLLECTED_ISSUES);
@@ -628,7 +702,9 @@ mod tests {
         let c = contract_open_closed();
         for codes in [[0u32, 0], [1, 3], [0, 2]] {
             let labels = c.decode_row(&codes).unwrap();
-            let back = c.encode_batch(&[labels]).unwrap();
+            let back = c
+                .encode_batch(&FlatRows::from_nested(&[labels], String::as_str))
+                .unwrap();
             assert_eq!(back, codes);
         }
         assert!(c.decode_row(&[0]).is_err());

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::any::{AnyClassifier, SubsetModel};
     pub use crate::binenc::{BinReader, BinWriter, MmapFile, PodVec};
     pub use crate::cascade::{Calibrator, CascadeModel, CascadeTier, TieredPrediction};
-    pub use crate::contract::{BatchError, FeatureContract, RowIssue};
+    pub use crate::contract::{BatchError, FeatureContract, FlatRows, RowIssue};
     pub use crate::dataset::{
         split_50_25_25, split_fractions, CatDataset, FeatureMeta, Provenance, TrainValTest,
     };

@@ -7,10 +7,18 @@ use hamlet_core::model_zoo::{ModelFamily, ModelSpec};
 
 use crate::registry::ModelSummary;
 
+mod decode;
+
+pub use decode::{decode_predict, PredictBody, MAX_DEPTH};
+
 /// `POST /v1/predict` — a batch of categorical rows for one model.
 /// Exactly one of `rows` (pre-encoded codes) and `rows_raw` (raw label
 /// strings, dictionary-encoded server-side against the artifact's contract)
 /// must be supplied.
+///
+/// This is the client-side (serde) shape of the body. The server does not
+/// deserialize it: it decodes the bytes with [`decode_predict`], which
+/// accepts the same bodies with the same results.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct PredictRequest {
     /// Registry name (`model-name`) or pinned key (`model-name@3`).

@@ -30,7 +30,7 @@ use hamlet_core::feature_config::FeatureConfig;
 use hamlet_core::model_zoo::ModelSpec;
 use hamlet_ml::any::AnyClassifier;
 use hamlet_ml::binenc::{BinWriter, BytesSource, MmapFile};
-use hamlet_ml::contract::{BatchError, DomainInterner, FeatureContract};
+use hamlet_ml::contract::{BatchError, DomainInterner, FeatureContract, FlatRows};
 use hamlet_ml::dataset::FeatureMeta;
 use serde::Deserialize;
 
@@ -165,10 +165,11 @@ impl ModelArtifact {
         ServeError::BadRequest(format!("model `{}`: {e}", self.key()))
     }
 
-    /// Validates a batch of pre-encoded code rows against the contract and
-    /// flattens it row-major for the batched predict hot path. Every
-    /// offending row is reported with its index and feature name.
-    pub fn validate_coded(&self, rows: &[Vec<u32>]) -> Result<Vec<u32>> {
+    /// Validates a decoded batch of code rows against the contract and
+    /// hands back its cells as the row-major buffer the batched predict
+    /// hot path consumes. Every offending row is reported with its index
+    /// and feature name.
+    pub fn validate_flat(&self, rows: FlatRows<u32>) -> Result<Vec<u32>> {
         if rows.is_empty() {
             return Err(ServeError::BadRequest("empty prediction batch".into()));
         }
@@ -177,17 +178,28 @@ impl ModelArtifact {
             .map_err(|e| self.batch_error(e))
     }
 
-    /// Dictionary-encodes a batch of raw label rows server-side (the NoJoin
-    /// FK-as-feature rewrite at ingest). Unseen labels fall back to the
-    /// `Others` slot on open domains and are 4xx-worthy per-row errors on
-    /// closed ones; contracts without dictionaries reject raw rows outright.
-    pub fn encode_raw(&self, rows: &[Vec<String>]) -> Result<Vec<u32>> {
+    /// Dictionary-encodes a decoded batch of raw label rows server-side
+    /// (the NoJoin FK-as-feature rewrite at ingest). Unseen labels fall
+    /// back to the `Others` slot on open domains and are 4xx-worthy
+    /// per-row errors on closed ones; contracts without dictionaries
+    /// reject raw rows outright.
+    pub fn encode_flat<S: AsRef<str>>(&self, rows: &FlatRows<S>) -> Result<Vec<u32>> {
         if rows.is_empty() {
             return Err(ServeError::BadRequest("empty prediction batch".into()));
         }
         self.contract
             .encode_batch(rows)
             .map_err(|e| self.batch_error(e))
+    }
+
+    /// [`ModelArtifact::validate_flat`] over nested rows.
+    pub fn validate_coded(&self, rows: &[Vec<u32>]) -> Result<Vec<u32>> {
+        self.validate_flat(FlatRows::from_nested(rows, |&code| code))
+    }
+
+    /// [`ModelArtifact::encode_flat`] over nested rows.
+    pub fn encode_raw(&self, rows: &[Vec<String>]) -> Result<Vec<u32>> {
+        self.encode_flat(&FlatRows::from_nested(rows, String::as_str))
     }
 
     /// File path of this artifact inside an artifact directory.

@@ -260,12 +260,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(m) => m.parse().map_err(|_| format!("bad --max-conns `{m}`"))?,
         None => hamlet_serve::http::MAX_CONNS,
     };
+    // A bad HAMLET_REACTORS is an error here, before the
+    // `ServerOptions::default()` below would panic on it.
+    let env_reactors = hamlet_serve::http::env_reactors()?;
     let reactors = match flags.get("reactors") {
-        Some(r) => {
-            let n: usize = r.parse().map_err(|_| format!("bad --reactors `{r}`"))?;
-            n.max(1)
-        }
-        None => ServerOptions::default().reactors,
+        Some(r) => hamlet_serve::http::parse_reactors("--reactors", r)?,
+        None => env_reactors.unwrap_or(ServerOptions::default().reactors),
     };
     let dir = PathBuf::from(flags.get("dir").map(String::as_str).unwrap_or("artifacts"));
     let load_mode = parse_load_mode(flags)?;

@@ -89,17 +89,39 @@ pub struct ServerOptions {
 /// Default [`ServerOptions::reactors`]: scale with the machine but stay
 /// modest (executors and inference shards want cores too), overridable
 /// with the `HAMLET_REACTORS` environment variable (which is how CI runs
-/// the whole existing suite multi-reactor).
+/// the whole existing suite multi-reactor). A bad value panics here, so a
+/// server with one does not start.
 fn default_reactors() -> usize {
-    if let Ok(v) = std::env::var("HAMLET_REACTORS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
+    env_reactors()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(4);
+            (cores / 4).clamp(1, 4)
+        })
+}
+
+/// The `HAMLET_REACTORS` override, parsed by [`parse_reactors`]; `None`
+/// when the variable is unset or empty.
+pub fn env_reactors() -> Result<Option<usize>, String> {
+    let value = std::env::var_os("HAMLET_REACTORS");
+    match value.as_ref().map(|v| v.to_string_lossy()).as_deref() {
+        None | Some("") => Ok(None),
+        Some(v) => parse_reactors("HAMLET_REACTORS", v).map(Some),
     }
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
-    (cores / 4).clamp(1, 4)
+}
+
+/// Parses a reactor count from `source` (the `HAMLET_REACTORS` variable
+/// or the `--reactors` flag): a positive integer, surrounding whitespace
+/// allowed. Anything else, `0` included, is an error naming `source`.
+pub fn parse_reactors(source: &str, value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{source} must be a positive integer, got {value:?}"
+        )),
+    }
 }
 
 /// A periodic callback the reactor fires from its timer wheel.
@@ -909,6 +931,21 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpStream;
+
+    #[test]
+    fn reactor_counts_parse_or_name_their_source() {
+        assert_eq!(parse_reactors("HAMLET_REACTORS", "2"), Ok(2));
+        assert_eq!(parse_reactors("--reactors", " 3\n"), Ok(3));
+        for bad in ["0", "abc", "two", "-1", "1.5", ""] {
+            for source in ["HAMLET_REACTORS", "--reactors"] {
+                let err = parse_reactors(source, bad).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("{source} must be a positive integer, got {bad:?}")
+                );
+            }
+        }
+    }
 
     fn echo_server() -> Server {
         Server::bind(

@@ -7,9 +7,9 @@ use std::time::Instant;
 use hamlet_core::advisor::advise_dims;
 
 use crate::api::{
-    AdviseRequest, ApiError, DemoteRequest, ExplainRequest, ExplainResponse, Health,
-    ModelsResponse, ObserveRequest, ObserveResponse, PredictRequest, PredictResponse,
-    RolloutStartRequest, TrainRequest, TrainResponse,
+    decode_predict, AdviseRequest, ApiError, DemoteRequest, ExplainRequest, ExplainResponse,
+    Health, ModelsResponse, ObserveRequest, ObserveResponse, PredictResponse, RolloutStartRequest,
+    TrainRequest, TrainResponse,
 };
 use crate::artifact::{LoadMode, ModelArtifact};
 use crate::coalesce::{Batch, CoalesceConfig, Coalescer, PendingPredict, Submitted};
@@ -322,29 +322,53 @@ fn parse_body<T: serde::Deserialize>(req: &Request) -> Result<T, ServeError> {
 }
 
 /// Resolves and validates one predict request down to a flattened
-/// row-major code buffer. Runs *before* any coalescing, so a bad row can
-/// only ever fail its own request.
+/// row-major code buffer: [`decode_predict`] reads the body in one pass,
+/// then the codes are range-checked in place or the labels are looked up
+/// in the contract's dictionaries. Runs *before* any coalescing, so a bad
+/// row can only ever fail its own request.
 fn parse_predict(
-    state: &AppState,
-    req: &Request,
+    registry: &ModelRegistry,
+    body: &[u8],
 ) -> Result<(Arc<ModelArtifact>, Vec<u32>, usize, bool), ServeError> {
-    let body: PredictRequest = parse_body(req)?;
+    let body = decode_predict(body)?;
     // Bare-name requests are eligible for canary routing; a client that
     // pinned an exact `name@version` asked for that artifact and gets it.
     let pinned = body.model.contains('@');
-    let artifact = state.registry.get(&body.model)?;
+    let artifact = registry.get(&body.model)?;
+    let d = artifact.contract.width();
+    let rows = match (body.rows, &body.rows_raw) {
+        (Some(_), Some(_)) => return Err(both_row_shapes()),
+        (None, None) => return Err(no_row_shape()),
+        (Some(coded), None) => artifact.validate_flat(coded)?,
+        (None, Some(raw)) => artifact.encode_flat(raw)?,
+    };
+    Ok((artifact, rows, d, pinned))
+}
+
+fn both_row_shapes() -> ServeError {
+    ServeError::BadRequest("provide exactly one of `rows` and `rows_raw`, not both".into())
+}
+
+fn no_row_shape() -> ServeError {
+    ServeError::BadRequest("provide `rows` (codes) or `rows_raw` (label strings)".into())
+}
+
+/// The serde decode `/v1/predict` ran before [`decode_predict`]: kept
+/// only as the independent reference the single-pass decoder is checked
+/// against.
+#[cfg(test)]
+fn reference_parse_predict(
+    registry: &ModelRegistry,
+    body: &[u8],
+) -> Result<(Arc<ModelArtifact>, Vec<u32>, usize, bool), ServeError> {
+    let body: crate::api::PredictRequest =
+        serde_json::from_slice(body).map_err(|e| ServeError::BadRequest(e.to_string()))?;
+    let pinned = body.model.contains('@');
+    let artifact = registry.get(&body.model)?;
     let d = artifact.contract.width();
     let rows = match (&body.rows, &body.rows_raw) {
-        (Some(_), Some(_)) => {
-            return Err(ServeError::BadRequest(
-                "provide exactly one of `rows` and `rows_raw`, not both".into(),
-            ))
-        }
-        (None, None) => {
-            return Err(ServeError::BadRequest(
-                "provide `rows` (codes) or `rows_raw` (label strings)".into(),
-            ))
-        }
+        (Some(_), Some(_)) => return Err(both_row_shapes()),
+        (None, None) => return Err(no_row_shape()),
         (Some(coded), None) => artifact.validate_coded(coded)?,
         (None, Some(raw)) => artifact.encode_raw(raw)?,
     };
@@ -675,7 +699,7 @@ fn unzip_parts<T>(parts: Option<Vec<Vec<T>>>, n: usize) -> Vec<Option<Vec<T>>> {
 /// core instead of one worker thread.
 fn predict(state: &AppState, req: &Request, responder: Responder) {
     let start = Instant::now();
-    let (mut artifact, rows, d, pinned) = match parse_predict(state, req) {
+    let (mut artifact, rows, d, pinned) = match parse_predict(&state.registry, &req.body) {
         Ok(parsed) => parsed,
         Err(e) => {
             state
@@ -1654,5 +1678,306 @@ mod tests {
             text.contains("hamlet_request_panics_total{endpoint=\"predict\"} 1"),
             "{text}"
         );
+    }
+}
+
+/// The differential gate for [`decode_predict`]: on generated bodies,
+/// valid and byte-mutated, [`parse_predict`] must give exactly what the
+/// serde reference gives: the same artifact, flat codes, width and pin
+/// flag, or the same error response (status and body bytes).
+#[cfg(test)]
+mod predict_decode_diff {
+    use super::*;
+    use crate::artifact::tests::toy_artifact;
+    use hamlet_ml::contract::FeatureContract;
+    use hamlet_ml::dataset::{FeatureMeta, Provenance};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type Outcome = Result<(String, Vec<u32>, usize, bool), (u16, Vec<u8>)>;
+
+    fn outcome(parsed: Result<(Arc<ModelArtifact>, Vec<u32>, usize, bool), ServeError>) -> Outcome {
+        parsed
+            .map(|(artifact, rows, d, pinned)| (artifact.key(), rows, d, pinned))
+            .map_err(|e| {
+                let resp = error_response(&e);
+                (resp.status, resp.body)
+            })
+    }
+
+    /// `raw`: closed `xs0` {v0, v1} and open `fk` {v0..v3, Others};
+    /// `nodict`: the same widths without dictionaries.
+    fn registry() -> ModelRegistry {
+        let registry = ModelRegistry::new();
+        registry.insert(toy_artifact("raw", 1));
+        let mut nodict = toy_artifact("nodict", 1);
+        nodict.contract = FeatureContract::new(vec![
+            FeatureMeta::new("a", 3, Provenance::Home),
+            FeatureMeta::new("b", 2, Provenance::Home),
+        ])
+        .unwrap();
+        registry.insert(nodict);
+        registry
+    }
+
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    fn ws(rng: &mut StdRng) -> &'static str {
+        if rng.gen_bool(0.7) {
+            ""
+        } else {
+            pick(rng, &[" ", "\n", "\t ", "\r\n  "])
+        }
+    }
+
+    /// Joins items into a JSON array with random whitespace.
+    fn array(rng: &mut StdRng, items: Vec<String>) -> String {
+        let mut out = format!("[{}", ws(rng));
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out += &format!("{},{}", ws(rng), ws(rng));
+            }
+            out += item;
+        }
+        out + ws(rng) + "]"
+    }
+
+    fn code(rng: &mut StdRng) -> String {
+        if rng.gen_bool(0.75) {
+            return rng.gen_range(0..6u32).to_string();
+        }
+        pick(
+            rng,
+            &[
+                "007",
+                "00",
+                "1.0",
+                "1e0",
+                "2E0",
+                "-0",
+                "-0.0",
+                "0.5",
+                "-1",
+                "1e",
+                "4294967295",
+                "4294967296",
+                "1e2",
+                "99999999999999999999",
+                "\"1\"",
+                "null",
+                "[]",
+                "true",
+                "{}",
+                "0.1e1",
+            ],
+        )
+        .to_string()
+    }
+
+    fn label(rng: &mut StdRng) -> String {
+        pick(
+            rng,
+            &[
+                "\"v0\"",
+                "\"v1\"",
+                "\"v2\"",
+                "\"v3\"",
+                "\"v4\"",
+                "\"Others\"",
+                "\"mystery\"",
+                "\"v\\u0030\"",
+                "\"\\u0076\\u0031\"",
+                "\"caf\\u00e9\"",
+                "\"\\ud83d\\ude00\"",
+                "\"a\\\"b\"",
+                "7",
+                "null",
+                "{}",
+            ],
+        )
+        .to_string()
+    }
+
+    /// `rows` or `rows_raw`: mostly arrays of two-cell rows, sometimes
+    /// ragged, empty, `null` or the wrong type.
+    fn rows(rng: &mut StdRng, cell: fn(&mut StdRng) -> String) -> String {
+        match rng.gen_range(0..20) {
+            0 => return "null".into(),
+            1 => return "{}".into(),
+            2 => return "[]".into(),
+            _ => {}
+        }
+        let n = rng.gen_range(1..6);
+        let rows = (0..n)
+            .map(|_| match rng.gen_range(0..20) {
+                0 => "5".into(),
+                1 => "null".into(),
+                w => {
+                    let width = if w < 16 { 2 } else { w % 4 };
+                    let cells = (0..width).map(|_| cell(rng)).collect();
+                    array(rng, cells)
+                }
+            })
+            .collect();
+        array(rng, rows)
+    }
+
+    /// Any JSON value, nested up to `depth` more levels.
+    fn junk(rng: &mut StdRng, depth: u32) -> String {
+        match rng.gen_range(0..if depth == 0 { 5 } else { 7 }) {
+            0 => pick(rng, &["null", "true", "false"]).into(),
+            1 => pick(rng, &["0", "-12.5e-3", "1E+2", "18446744073709551616"]).into(),
+            2 => pick(rng, &["\"\"", "\"x\\u00e9\\n\"", "\"\\/\\b\\f\\r\\t\""]).into(),
+            3 => label(rng),
+            4 => code(rng),
+            5 => {
+                let items = (0..rng.gen_range(0..3))
+                    .map(|_| junk(rng, depth - 1))
+                    .collect();
+                array(rng, items)
+            }
+            _ => {
+                let entries: Vec<String> = (0..rng.gen_range(0..3))
+                    .map(|_| {
+                        let key = pick(rng, &["\"model\"", "\"rows\"", "\"k\""]);
+                        format!("{key}:{}", junk(rng, depth - 1))
+                    })
+                    .collect();
+                format!("{{{}}}", entries.join(","))
+            }
+        }
+    }
+
+    /// A predict body from random pieces: known keys (sometimes escaped or
+    /// duplicated), unknown keys, random order and whitespace.
+    fn body(rng: &mut StdRng) -> String {
+        if rng.gen_range(0..40) == 0 {
+            return junk(rng, 2);
+        }
+        let mut entries = Vec::new();
+        if rng.gen_bool(0.95) {
+            let key = pick(rng, &["\"model\"", "\"model\"", "\"mod\\u0065l\""]);
+            let model = pick(
+                rng,
+                &[
+                    "\"raw\"",
+                    "\"raw\"",
+                    "\"raw\"",
+                    "\"raw@1\"",
+                    "\"r\\u0061w\"",
+                    "\"nodict\"",
+                    "\"ghost\"",
+                    "\"raw@2\"",
+                    "null",
+                    "5",
+                    "[\"raw\"]",
+                ],
+            );
+            entries.push(format!("{key}{}:{}{model}", ws(rng), ws(rng)));
+        }
+        let coded = rng.gen_bool(0.6);
+        if coded || rng.gen_bool(0.1) {
+            entries.push(format!("\"rows\":{}", rows(rng, code)));
+        }
+        if !coded || rng.gen_bool(0.1) {
+            entries.push(format!("\"rows_raw\":{}", rows(rng, label)));
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let key = pick(
+                rng,
+                &["\"extra\"", "\"Model\"", "\"rows\"", "\"model\"", "\"\""],
+            );
+            entries.push(format!("{key}:{}", junk(rng, 3)));
+        }
+        for i in (1..entries.len()).rev() {
+            entries.swap(i, rng.gen_range(0..=i));
+        }
+        let sep: Vec<String> = entries
+            .into_iter()
+            .map(|e| format!("{}{e}{}", ws(rng), ws(rng)))
+            .collect();
+        format!("{}{{{}}}{}", ws(rng), sep.join(","), ws(rng))
+    }
+
+    /// Deletes, inserts, replaces or truncates a few bytes.
+    fn mutate(rng: &mut StdRng, body: &mut Vec<u8>) {
+        const BYTES: &[u8] = b"{}[]\",:\\ 0123456789-.eEnultrfa\x00\xc3\xa9\xff";
+        for _ in 0..rng.gen_range(1..4) {
+            if body.is_empty() {
+                return;
+            }
+            let at = rng.gen_range(0..body.len());
+            let byte = BYTES[rng.gen_range(0..BYTES.len())];
+            match rng.gen_range(0..4) {
+                0 => drop(body.remove(at)),
+                1 => body.insert(at, byte),
+                2 => body[at] = byte,
+                _ => body.truncate(at),
+            }
+        }
+    }
+
+    /// Decodes one generated body both ways and asserts they agree.
+    fn case(registry: &ModelRegistry, seed: u64) -> Outcome {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bytes = body(&mut rng).into_bytes();
+        if rng.gen_bool(0.35) {
+            mutate(&mut rng, &mut bytes);
+        }
+        let ours = outcome(parse_predict(registry, &bytes));
+        let reference = outcome(reference_parse_predict(registry, &bytes));
+        assert_eq!(
+            ours,
+            reference,
+            "body {:?}",
+            String::from_utf8_lossy(&bytes)
+        );
+        ours
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+        #[test]
+        fn single_pass_decode_matches_the_serde_reference(seed in any::<u64>()) {
+            let _agreed = case(&registry(), seed);
+        }
+    }
+
+    /// Guards the generator: a fixed stream of cases must reach every
+    /// outcome class the gate is meant to compare.
+    #[test]
+    fn generated_bodies_reach_every_outcome() {
+        let registry = registry();
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..3000 {
+            let class = match &case(&registry, seed) {
+                Ok(_) => "ok",
+                Err((404, _)) => "404",
+                Err((_, body)) => {
+                    let body = String::from_utf8_lossy(body);
+                    if body.contains("at byte") {
+                        "syntax"
+                    } else if body.contains("UTF-8") {
+                        "utf8"
+                    } else if body.contains(": expected") {
+                        "type"
+                    } else if body.contains("row ") {
+                        "row"
+                    } else if body.contains("no dictionary") {
+                        "nodict"
+                    } else {
+                        "shape"
+                    }
+                }
+            };
+            seen.insert(class);
+        }
+        let all = [
+            "404", "nodict", "ok", "row", "shape", "syntax", "type", "utf8",
+        ];
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
     }
 }

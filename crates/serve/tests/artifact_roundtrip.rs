@@ -7,6 +7,7 @@ use hamlet_core::experiment::run_experiment_with_model;
 use hamlet_core::feature_config::{build_splits, FeatureConfig};
 use hamlet_core::model_zoo::{Budget, ModelSpec};
 use hamlet_datagen::prelude::*;
+use hamlet_ml::contract::FlatRows;
 use hamlet_ml::model::Classifier;
 use hamlet_serve::artifact::{ModelArtifact, TrainingMetadata, FORMAT_VERSION};
 
@@ -71,7 +72,10 @@ fn roundtrip_spec(spec: ModelSpec, tag: &str) {
     let first = data.test.row(0);
     let labels = reloaded.contract.decode_row(first).unwrap();
     assert_eq!(
-        reloaded.contract.encode_batch(&[labels]).unwrap(),
+        reloaded
+            .contract
+            .encode_batch(&FlatRows::from_nested(&[labels], String::as_str))
+            .unwrap(),
         first.to_vec()
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -14,6 +14,7 @@ use hamlet_core::feature_config::{build_dataset, FeatureConfig};
 use hamlet_datagen::prelude::*;
 use hamlet_ml::ann::{AnnParams, Mlp};
 use hamlet_ml::any::{AnyClassifier, SubsetModel};
+use hamlet_ml::contract::FlatRows;
 use hamlet_ml::dataset::CatDataset;
 use hamlet_ml::knn::OneNearestNeighbor;
 use hamlet_ml::logreg::{LogRegL1, LogRegParams};
@@ -298,7 +299,7 @@ proptest! {
         let cards = ds.cardinalities();
         let codes: Vec<u32> = cards.iter().map(|&k| rng.gen_range(0..k)).collect();
         let labels = contract.decode_row(&codes).unwrap();
-        let back = contract.encode_batch(&[labels]).unwrap();
+        let back = contract.encode_batch(&FlatRows::from_nested(&[labels], String::as_str)).unwrap();
         prop_assert_eq!(back, codes);
         std::fs::remove_dir_all(&dir).ok();
     }
